@@ -13,18 +13,20 @@ system conserves the specific energy
 
     E = phi_dot^2/2 + omega_c^2 * phi^2/2 + nonlinear_coeff * (1 - cos(phi)).
 
-Integration uses adaptive embedded Runge-Kutta pairs (DOP853 by default,
-RK45 selectable) with dense output; a fixed-step classic RK4 is kept for
+Integration uses the compiled Hairer DOP853/DOPRI5 codes via
+``scipy.integrate.ode`` (DOP853 by default); samples are reached by stepping
+to each output time.  A fixed-step classic RK4 is kept for
 bit-reproducibility studies.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import ode
 from scipy.optimize import brentq
 
 from .core import E_CHARGE, HBAR, CircuitParams, DriveWaveform, Trajectory, _readonly, _require
@@ -56,16 +58,17 @@ class EomParams:
     omega_c: float          # rad/s, linear resonance 1/sqrt(L*C')
     nonlinear_coeff: float  # s^-2, (2e/hbar)^2 * E_J / C_sigma
     drive_coeff: float      # s^-2 per volt, (2e/hbar) * C_g * omega / C_sigma
-    drive_amplitude: float = 0.0  # V
+    drive_amplitude: float = 0.0  # V, signed
     drive_omega: float = 0.0      # rad/s
     drive_phase0: float = 0.0     # rad
 
     def __post_init__(self) -> None:
-        for name in ("omega_c", "nonlinear_coeff", "drive_coeff", "drive_amplitude",
-                     "drive_omega"):
+        for name in ("omega_c", "nonlinear_coeff", "drive_coeff", "drive_omega"):
             value = getattr(self, name)
             _require(math.isfinite(value) and value >= 0.0,
                      f"EomParams.{name} must be finite and non-negative")
+        _require(math.isfinite(self.drive_amplitude),
+                 "EomParams.drive_amplitude must be finite")
 
     @property
     def small_oscillation_frequency(self) -> float:
@@ -130,7 +133,8 @@ class StepControl:
     ``abs_tol`` applies to the phase; the rate component gets abs_tol scaled
     by the fastest system frequency so both components are controlled at the
     same effective resolution.  ``method`` is one of "dop853", "rk45"
-    (adaptive, dense output) or "rk4" (fixed step, requires ``fixed_step``).
+    (adaptive; runs DOPRI5) or "rk4" (fixed step, requires ``fixed_step``).
+    ``max_step`` bounds the adaptive step size; ``inf`` leaves it unbounded.
     """
 
     rel_tol: float = 1e-10
@@ -142,6 +146,7 @@ class StepControl:
     def __post_init__(self) -> None:
         _require(self.rel_tol > 0.0 and self.abs_tol > 0.0,
                  "StepControl tolerances must be positive")
+        _require(self.max_step > 0.0, "StepControl.max_step must be positive")
         _require(self.method in ("dop853", "rk45", "rk4"),
                  "StepControl.method must be 'dop853', 'rk45' or 'rk4'")
         if self.method == "rk4":
@@ -169,7 +174,7 @@ def build_eom(params: CircuitParams, drive: DriveWaveform | None) -> EomParams:
     drive_coeff = two_e_over_hbar * params.c_gate * drive.omega / params.c_sigma
     return EomParams(omega_c=omega_c, nonlinear_coeff=nonlinear,
                      drive_coeff=drive_coeff,
-                     drive_amplitude=abs(drive.amplitude),
+                     drive_amplitude=drive.amplitude,
                      drive_omega=drive.omega,
                      drive_phase0=drive.phase0)
 
@@ -205,26 +210,43 @@ def _envelope_scalar(env: DriveEnvelope, ramp: float):
     return value
 
 
-def _rhs_factory(eom: EomParams, envelope: DriveEnvelope | None, ramp: float):
-    wc2 = eom.omega_c ** 2
-    nl = eom.nonlinear_coeff
-    force = eom.drive_coeff * eom.drive_amplitude
+def _rhs_factory(eom: EomParams, envelope: DriveEnvelope | None, ramp: float,
+                 rate_scale: float = 1.0):
+    """Right-hand side for the state (phi, phi_dot/rate_scale); 1.0 leaves
+    every operation exact.  The compiled solvers keep stepping after an
+    exception in their callback, so sin(+-inf) of an overflowed state returns
+    NaN instead, which they report as a failed step-size control."""
+    wc2 = eom.omega_c ** 2 / rate_scale
+    nl = eom.nonlinear_coeff / rate_scale
+    force = eom.drive_coeff * eom.drive_amplitude / rate_scale
     w = eom.drive_omega
     ph0 = eom.drive_phase0
     if force == 0.0:
         def rhs(t: float, y):
-            return [y[1], -wc2 * y[0] - nl * math.sin(y[0])]
+            p, v = y.tolist()
+            try:
+                return [rate_scale * v, -wc2 * p - nl * math.sin(p)]
+            except ValueError:
+                return [math.nan, math.nan]
         return rhs
     if envelope is None:
         def rhs(t: float, y):
-            return [y[1], -wc2 * y[0] - nl * math.sin(y[0])
-                    - force * math.cos(w * t + ph0)]
+            p, v = y.tolist()
+            try:
+                return [rate_scale * v, -wc2 * p - nl * math.sin(p)
+                        - force * math.cos(w * t + ph0)]
+            except ValueError:
+                return [math.nan, math.nan]
         return rhs
     env_value = _envelope_scalar(envelope, ramp)
 
     def rhs(t: float, y):
-        return [y[1], -wc2 * y[0] - nl * math.sin(y[0])
-                - force * env_value(t) * math.cos(w * t + ph0)]
+        p, v = y.tolist()
+        try:
+            return [rate_scale * v, -wc2 * p - nl * math.sin(p)
+                    - force * env_value(t) * math.cos(w * t + ph0)]
+        except ValueError:
+            return [math.nan, math.nan]
     return rhs
 
 
@@ -256,18 +278,18 @@ def integrate_trajectory(eom: EomParams, phi0: float, phidot0: float,
                          n_samples: int = 1001) -> Trajectory:
     """Integrate the equation of motion over ``t_span``.
 
-    Output is sampled on ``n_samples`` uniformly spaced times (dense output
-    between adaptive steps).  A decreasing ``t_span`` integrates backwards,
-    which is how the time-reversal checks are run.  Integrator failures
-    (step-size underflow from stiffness, non-finite state) raise
-    :class:`IntegrationError`.
+    Output is sampled on ``n_samples`` uniformly spaced times.  The adaptive
+    methods run the compiled Hairer DOP853/DOPRI5 codes via
+    ``scipy.integrate.ode``; samples are reached by stepping to each output
+    time.  A decreasing ``t_span`` integrates backwards, which is how the
+    time-reversal checks are run.  Integrator failures (step-size underflow
+    from stiffness, non-finite state) raise :class:`IntegrationError`.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     _require(t0 != t1, "integrate_trajectory t_span must be non-degenerate")
     _require(n_samples >= 2, "integrate_trajectory needs n_samples >= 2")
     drive_period = (2.0 * math.pi / eom.drive_omega) if eom.drive_omega > 0.0 else 0.0
     ramp = envelope.resolve_ramp(drive_period) if envelope is not None else 0.0
-    rhs = _rhs_factory(eom, envelope, ramp)
     t_grid = np.linspace(t0, t1, n_samples)
 
     meta = {
@@ -282,6 +304,7 @@ def integrate_trajectory(eom: EomParams, phi0: float, phidot0: float,
     }
 
     if step_control.method == "rk4":
+        rhs = _rhs_factory(eom, envelope, ramp)
         try:
             y = _rk4_fixed(rhs, t_grid, np.array([phi0, phidot0]),
                            step_control.fixed_step)
@@ -291,24 +314,34 @@ def integrate_trajectory(eom: EomParams, phi0: float, phidot0: float,
             raise IntegrationError("rk4 produced non-finite state (reduce fixed_step)")
         return _as_trajectory(t_grid, y, meta)
 
-    # Rate scale for the absolute tolerance on the phi_dot component.
-    omega_scale = max(eom.small_oscillation_frequency, eom.drive_omega,
-                      1.0 / abs(t1 - t0))
-    atol = [step_control.abs_tol, step_control.abs_tol * omega_scale]
-    method = "DOP853" if step_control.method == "dop853" else "RK45"
-    try:
-        sol = solve_ivp(rhs, (t0, t1), [float(phi0), float(phidot0)], method=method,
-                        rtol=step_control.rel_tol, atol=atol, t_eval=t_grid,
-                        max_step=step_control.max_step, dense_output=False)
-    except (ValueError, OverflowError, FloatingPointError) as exc:
-        # Overflowing states feed non-finite values into the RHS; surface
-        # every such failure as an integration abort, not a usage error.
-        raise IntegrationError(f"integration aborted: {exc}") from exc
-    if not sol.success:
-        raise IntegrationError(f"integration aborted: {sol.message}")
-    if not np.all(np.isfinite(sol.y)):
+    # The compiled codes take a scalar atol, so integrate (phi, phi_dot/w):
+    # its error norm equals that of (phi, phi_dot) under the per-component
+    # atol [abs_tol, abs_tol*w], with w the fastest system rate.
+    rate_scale = max(eom.small_oscillation_frequency, eom.drive_omega,
+                     1.0 / abs(t1 - t0))
+    name = "dop853" if step_control.method == "dop853" else "dopri5"
+    solver = ode(_rhs_factory(eom, envelope, ramp, rate_scale)).set_integrator(
+        name, rtol=step_control.rel_tol, atol=step_control.abs_tol,
+        nsteps=2 ** 31 - 1,  # no step limit
+        max_step=0.0 if math.isinf(step_control.max_step) else step_control.max_step)
+    solver.set_initial_value([float(phi0), float(phidot0) / rate_scale], t0)
+    y = np.empty((2, n_samples))
+    y[:, 0] = phi0, phidot0
+    # The solver reports a failed return code as a UserWarning; keep it
+    # for the error message instead of printing it.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        for i in range(1, n_samples):
+            y[:, i] = solver.integrate(t_grid[i])
+            if not solver.successful():
+                detail = "; ".join(str(w.message) for w in caught)
+                raise IntegrationError(
+                    f"integration aborted at t={solver.t:.6g} s: {detail} "
+                    f"(return code {solver.get_return_code()})")
+    y[1, 1:] *= rate_scale
+    if not np.all(np.isfinite(y)):
         raise IntegrationError("integration produced non-finite state (NaN guard)")
-    return _as_trajectory(sol.t, sol.y, meta)
+    return _as_trajectory(t_grid, y, meta)
 
 
 def _as_trajectory(t_grid: np.ndarray, y: np.ndarray, meta: dict) -> Trajectory:

@@ -25,7 +25,6 @@ import difflib
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
@@ -788,14 +787,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--dump-preset", metavar="NAME",
                         help="print the named preset as config text and exit")
     parser.add_argument("--sweep", nargs="+", metavar="CONFIG",
-                        help="run several independent configs concurrently")
+                        help="run several independent configs one after another")
     return parser
 
 
-def _run_one(args_tuple: tuple[str | None, str | None, str | None, str | None]) -> int:
-    target, config_path, out, fmt = args_tuple
-    config = _load_config(target, config_path, out, fmt)
-    return run_experiment(config)
+def _run_reporting_failures(config: ExperimentConfig) -> int:
+    """Run one config, turning its failures into a one-line message and an
+    exit code."""
+    try:
+        return run_experiment(config)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    except (circuit.IntegrationError, ValueError, ArithmeticError) as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC_FAILURE
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -813,27 +819,15 @@ def main(argv: Sequence[str] | None = None) -> int:
             paths = [c.output_path for c in configs]
             if len(set(paths)) != len(paths):
                 raise ConfigError("sweep configs must declare distinct output paths")
-            with ThreadPoolExecutor() as pool:
-                results = list(pool.map(run_experiment, configs))
-            return max(results, default=EXIT_OK)
-        if args.target is None and args.config is None:
+        elif args.target is None and args.config is None:
             build_parser().print_usage(sys.stderr)
             return EXIT_CONFIG_ERROR
-        config = _load_config(args.target, args.config, args.out, args.format)
-    except ConfigError as exc:
+        else:
+            configs = [_load_config(args.target, args.config, args.out, args.format)]
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    try:
-        return run_experiment(config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    except (circuit.IntegrationError, ValueError, ArithmeticError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC_FAILURE
+    return max(_run_reporting_failures(config) for config in configs)
 
 
 if __name__ == "__main__":

@@ -110,7 +110,7 @@ def bessel_j(n: int, alpha: float) -> float:
     # |J_n(a)| <= (a/2)^n / n! <= (a*e/2n)^n: skip the recurrence (and its
     # O(n) row) once the bound underflows even the subnormal range.
     if n > 0 and (alpha == 0.0
-                  or n * (math.log(alpha / 2.0) + 1.0 - math.log(n)) < -745.0):
+                  or n * (math.log(alpha) - math.log(2.0) + 1.0 - math.log(n)) < -745.0):
         return sign * 0.0
     return sign * float(_bessel_row(alpha, n)[n])
 

@@ -73,6 +73,74 @@ class TestIntegrateTrajectory:
         expected = 0.1 * np.cos(eom.omega_c * traj.times)
         assert np.max(np.abs(traj.delta_phi - expected)) < 1e-9
 
+    def test_rk45_harmonic_solution(self):
+        eom = build_eom(fig3_params(e_josephson=0.0), None)
+        period = 2 * math.pi / eom.omega_c
+        traj = integrate_trajectory(eom, 0.1, 0.0, (0.0, 10 * period),
+                                    StepControl(method="rk45"), n_samples=501)
+        expected = 0.1 * np.cos(eom.omega_c * traj.times)
+        assert np.max(np.abs(traj.delta_phi - expected)) < 1e-8
+
+    @pytest.mark.parametrize("method", ["dop853", "rk45"])
+    def test_backward_harmonic_solution(self, method):
+        eom = build_eom(fig3_params(e_josephson=0.0), None)
+        w = eom.omega_c
+        t_end = 10 * 2 * math.pi / w
+        traj = integrate_trajectory(eom, 0.1 * math.cos(w * t_end),
+                                    -0.1 * w * math.sin(w * t_end), (t_end, 0.0),
+                                    StepControl(method=method), n_samples=501)
+        assert traj.times[0] == 0.0 and traj.times[-1] == t_end
+        expected = 0.1 * np.cos(w * traj.times)
+        assert np.max(np.abs(traj.delta_phi - expected)) < 1e-8
+
+    @pytest.mark.parametrize("span_periods", [(0, 10), (10, 0)])
+    def test_finite_max_step_gives_harmonic_solution(self, span_periods):
+        eom = build_eom(fig3_params(e_josephson=0.0), None)
+        w = eom.omega_c
+        period = 2 * math.pi / w
+        t0, t1 = (k * period for k in span_periods)
+        traj = integrate_trajectory(eom, 0.1 * math.cos(w * t0),
+                                    -0.1 * w * math.sin(w * t0), (t0, t1),
+                                    StepControl(max_step=period / 40),
+                                    n_samples=11)
+        expected = 0.1 * np.cos(w * traj.times)
+        assert np.max(np.abs(traj.delta_phi - expected)) < 1e-9
+
+    @pytest.mark.parametrize("max_step", [0.0, -1e-12, math.nan])
+    def test_rejects_non_positive_max_step(self, max_step):
+        with pytest.raises(ValueError, match="max_step must be positive"):
+            StepControl(max_step=max_step)
+
+    def test_negative_drive_mirrors_positive_drive(self):
+        # U(phi) is even, so flipping the drive's sign mirrors the trajectory.
+        runs = []
+        for amplitude in (1e-6, -1e-6):
+            eom = build_eom(fig3_params(), DriveWaveform.sinusoid(amplitude, OMEGA_DRIVE))
+            runs.append(integrate_trajectory(eom, 0.0, 0.0, (0.0, 6e-9),
+                                             n_samples=601))
+        plus, minus = runs
+        assert np.max(np.abs(plus.delta_phi)) > 0.0
+        assert np.array_equal(minus.delta_phi, -plus.delta_phi)
+        assert np.array_equal(minus.delta_phi_dot, -plus.delta_phi_dot)
+
+    @pytest.mark.parametrize("method", ["dop853", "rk45"])
+    def test_solver_return_code_failure_raises(self, method):
+        # At t ~ 1e10 s the needed steps fall below the spacing of doubles.
+        eom = build_eom(fig3_params(), None)
+        with pytest.raises(IntegrationError, match="return code -3"):
+            integrate_trajectory(eom, 0.1, 0.0, (1e10, 1e10 + 1e-6),
+                                 StepControl(method=method), n_samples=11)
+
+    @pytest.mark.parametrize("method", ["dop853", "rk45", "rk4"])
+    @pytest.mark.parametrize("phi0", [math.inf, math.nan])
+    def test_non_finite_state_raises(self, method, phi0):
+        # sin(inf) is a math domain error inside the right-hand side.
+        eom = build_eom(fig3_params(), None)
+        control = StepControl(method=method, fixed_step=1e-12)
+        with pytest.raises(IntegrationError):
+            integrate_trajectory(eom, phi0, 0.0, (0.0, 1e-9), control,
+                                 n_samples=11)
+
     def test_fixed_point_stays_put(self):
         eom = build_eom(fig3_params(), None)
         period = 2 * math.pi / eom.small_oscillation_frequency

@@ -280,6 +280,28 @@ class TestMainAndExitCodes:
         assert (tmp_path / "out0.json").exists()
         assert (tmp_path / "out1.json").exists()
 
+    def test_sweep_numeric_failure_exit_code(self, tmp_path, capsys):
+        # Three samples cannot reconstruct the waveform to 1e-12.
+        coarse = tmp_path / "coarse.json"
+        coarse.write_text(json.dumps(
+            {"experiment": "FloquetDecompose",
+             "parameters": {"waveform": "sampled", "frequency_MHz": 150.0,
+                            "samples_t_ns": [0.0, 1000 / 300.0, 1000 / 150.0],
+                            "samples_u_over_h_GHz": [0.3, -0.3, 0.3],
+                            "residual_tol": 1e-12},
+             "output": {"path": str(tmp_path / "coarse_out.json"), "format": "json"}}))
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(
+            {"experiment": "ElectricSidebands",
+             "parameters": {"drive_amplitude_uV": 1.0,
+                            "drive_frequency_MHz": 150.0},
+             "output": {"path": str(tmp_path / "good_out.json"), "format": "json"}}))
+        assert main(["--sweep", str(coarse), str(good)]) == EXIT_NUMERIC_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure:")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert (tmp_path / "good_out.json").exists()
+
     def test_sweep_rejects_colliding_outputs(self, tmp_path, capsys):
         conf = tmp_path / "one.json"
         conf.write_text(json.dumps(

@@ -65,6 +65,11 @@ class TestBesselJ:
     def test_jn_at_zero(self):
         assert bessel_j(3, 0.0) == 0.0
 
+    def test_subnormal_argument_underflows_to_zero(self):
+        # alpha/2 underflows to 0 here; the underflow guard must not take log(0)
+        assert bessel_j(1, 5e-324) == 0.0
+        assert bessel_j(-1, -5e-324) == 0.0
+
     def test_j0_of_one_matches_series_oracle(self):
         assert bessel_series(0, 1.0) == pytest.approx(J0_OF_1, abs=1e-15)
         assert bessel_j(0, 1.0) == pytest.approx(J0_OF_1, abs=1e-12)
