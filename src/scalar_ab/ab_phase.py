@@ -1,11 +1,13 @@
-"""Scalar Aharonov-Bohm phase accumulation by numerical quadrature.
+"""Scalar Aharonov-Bohm phase accumulation by exact integration.
 
 The phase picked up by a charge q in a spatially uniform potential V(t) is
 (q/hbar) * integral V dt; the gravitational analogue integrates m(t)*Phi(t).
-Quadrature is composite trapezoid on the supplied output grid, with each
-interval subdivided until a Richardson error estimate meets the requested
-relative tolerance (sampled inputs are piecewise linear, so trapezoid on
-their breakpoints is already exact for the declared interpolant).
+Every integrand has a closed-form integral: a drive is a sinusoid or the
+periodic piecewise-linear interpolant of its samples, and mass, potential
+and species-count histories are piecewise linear.  With a positive
+``rel_tol`` (the default) each function returns that exact integral, which
+meets any tolerance; ``rel_tol=None`` returns the composite trapezoid on the
+supplied grid instead (second order in the grid step).
 
 All functions are pure and re-entrant; inputs and outputs are immutable.
 """
@@ -15,7 +17,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -32,7 +34,6 @@ __all__ = [
 ]
 
 DEFAULT_QUADRATURE_REL_TOL = 1e-9
-_MAX_REFINE = 4096
 
 
 @dataclass(frozen=True)
@@ -114,8 +115,9 @@ def _validate_grid(t_grid: Sequence[float]) -> np.ndarray:
     return grid
 
 
-def _history_interpolator(history: Sequence[tuple[float, float]],
-                          t_grid: np.ndarray, what: str) -> Callable[[np.ndarray], np.ndarray]:
+def _history(history: Sequence[tuple[float, float]], t_grid: np.ndarray,
+             what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Knot times and values of a piecewise-linear history covering the grid."""
     ts = np.asarray([p[0] for p in history], dtype=float)
     vs = np.asarray([p[1] for p in history], dtype=float)
     _require(len(ts) >= 1, f"{what} history must be non-empty")
@@ -125,76 +127,48 @@ def _history_interpolator(history: Sequence[tuple[float, float]],
         raise ValueError(
             f"{what} history covers [{ts[0]:g}, {ts[-1]:g}] s but the requested grid "
             f"spans [{t_grid[0]:g}, {t_grid[-1]:g}] s (coverage gap rejected)")
-    return lambda t: np.interp(t, ts, vs)
+    return ts, vs
 
 
-def _refined_nodes(grid: np.ndarray, level: int) -> np.ndarray:
-    """Each grid interval split into 2**level equal pieces, endpoints shared."""
-    m = 2 ** level
-    if m == 1:
-        return grid
-    frac = np.arange(m) / m
-    inner = grid[:-1, None] + np.diff(grid)[:, None] * frac[None, :]
-    return np.concatenate([inner.ravel(), grid[-1:]])
+def _exact(rel_tol: float | None) -> bool:
+    """True for the exact integral (any positive ``rel_tol``), False for the
+    raw trapezoid on the supplied grid (``rel_tol=None``)."""
+    if rel_tol is None:
+        return False
+    _require(rel_tol > 0.0, "quadrature rel_tol must be positive")
+    return True
+
+
+def _cumsum0(pieces: np.ndarray) -> np.ndarray:
+    return np.concatenate(([0.0], np.cumsum(pieces)))
 
 
 def _cumtrapz(values: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    out = np.empty(len(nodes))
-    out[0] = 0.0
-    np.cumsum(0.5 * (values[1:] + values[:-1]) * np.diff(nodes), out=out[1:])
-    return out
+    return _cumsum0(0.5 * (values[1:] + values[:-1]) * np.diff(nodes))
 
 
-def cumulative_trapezoid_phase(integrand: Callable[[np.ndarray], np.ndarray],
-                               t_grid: np.ndarray,
-                               rel_tol: float | None) -> np.ndarray:
-    """Cumulative trapezoid of ``integrand`` on ``t_grid``.
-
-    With ``rel_tol`` set, each interval is subdivided (doubling) until the
-    Richardson estimate |phi_fine - phi_coarse| meets the tolerance relative
-    to the phase scale.  ``rel_tol=None`` integrates on the supplied grid
-    as-is.
-    """
-    level = _refinement_level(integrand, t_grid, rel_tol)
-    nodes = _refined_nodes(t_grid, level)
-    phase = _cumtrapz(integrand(nodes), nodes)
-    return phase[:: 2 ** level].copy() if level else phase
+def _merged_nodes(grid: np.ndarray, *knots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The grid plus every knot strictly inside its span, and the index of
+    each grid point among those nodes."""
+    inner = [k[(k > grid[0]) & (k < grid[-1])] for k in knots]
+    nodes = np.union1d(grid, np.concatenate(inner))
+    return nodes, np.searchsorted(nodes, grid)
 
 
-def _refinement_level(integrand: Callable[[np.ndarray], np.ndarray],
-                      t_grid: np.ndarray, rel_tol: float | None,
-                      magnitude: Callable[[np.ndarray], np.ndarray] | None = None,
-                      ) -> int:
-    """Pick the subdivision level meeting ``rel_tol`` by Richardson estimate.
+def _pwl_product_integral(nodes: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Cumulative integral of f*g, where f and g are piecewise linear with
+    every knot among ``nodes``: each piece is a quadratic, integrated exactly."""
+    return _cumsum0(np.diff(nodes) * (f[:-1] * (2.0 * g[:-1] + g[1:])
+                                      + f[1:] * (g[:-1] + 2.0 * g[1:])) / 6.0)
 
-    ``magnitude`` gives the intrinsic pointwise scale of the integrand (its
-    absolute value by default); when the signed integrand cancels to rounding
-    noise, the convergence target is floored at eps times the integral of
-    that magnitude instead of chasing an unreachable relative error.
-    """
-    if rel_tol is None:
-        return 0
-    _require(rel_tol > 0.0, "quadrature rel_tol must be positive")
-    if magnitude is None:
-        magnitude = lambda t: np.abs(integrand(t))
-    level = 0
-    coarse = _cumtrapz(integrand(t_grid), t_grid)
-    while True:
-        fine_nodes = _refined_nodes(t_grid, level + 1)
-        fine = _cumtrapz(integrand(fine_nodes), fine_nodes)[:: 2 ** (level + 1)]
-        scale = float(np.max(np.abs(fine)))
-        noise_floor = (8.0 * np.finfo(float).eps
-                       * float(_cumtrapz(magnitude(fine_nodes), fine_nodes)[-1]))
-        err = float(np.max(np.abs(fine - coarse)))
-        if err <= max(rel_tol * scale, noise_floor):
-            return level + 1  # keep the finer result; its error is ~err/4
-        level += 1
-        if 2 ** level > _MAX_REFINE:
-            raise ValueError(
-                f"quadrature failed to reach rel_tol={rel_tol:g} after "
-                f"{_MAX_REFINE}x subdivision (estimated error {err:.3g}, scale "
-                f"{scale:.3g}); supply a denser grid")
-        coarse = fine
+
+def _drive_knots(voltage: DriveWaveform, grid: np.ndarray) -> np.ndarray:
+    """Knots of a sampled drive's periodic extension over the grid span."""
+    ts = voltage._times
+    first = np.floor((grid[0] - ts[0]) / voltage.period)
+    last = np.floor((grid[-1] - ts[0]) / voltage.period)
+    shifts = np.arange(first, last + 1.0) * voltage.period
+    return (shifts[:, None] + ts[None, :-1]).ravel()
 
 
 def accumulate_electric_phase(charge: float, voltage: DriveWaveform,
@@ -205,13 +179,20 @@ def accumulate_electric_phase(charge: float, voltage: DriveWaveform,
 
     For a zero-mean sinusoidal drive V0*cos(omega*t) starting at t=0 the
     result is alpha*sin(omega*t) with FM modulation depth
-    alpha = charge*V0/(hbar*omega).
+    alpha = charge*V0/(hbar*omega).  A positive ``rel_tol`` gives the exact
+    integral through ``voltage.antiderivative``; ``rel_tol=None`` gives the
+    composite trapezoid on ``t_grid``.
     """
     grid = _validate_grid(t_grid)
+    exact = _exact(rel_tol)
     if charge == 0.0:
         return PhaseHistory(times=grid, phase=np.zeros_like(grid))
-    phase = cumulative_trapezoid_phase(voltage.value, grid, rel_tol)
-    return PhaseHistory(times=grid, phase=(charge / HBAR) * phase)
+    if exact:
+        integral = voltage.antiderivative(grid)
+        integral = integral - integral[0]
+    else:
+        integral = _cumtrapz(voltage.value(grid), grid)
+    return PhaseHistory(times=grid, phase=(charge / HBAR) * integral)
 
 
 def accumulate_grav_phase(mass_history: Sequence[tuple[float, float]],
@@ -222,14 +203,22 @@ def accumulate_grav_phase(mass_history: Sequence[tuple[float, float]],
     """Phase (1/hbar) * integral of m(t)*Phi(t) dt over the grid.
 
     Both histories are linearly interpolated and must cover the grid span.
+    A positive ``rel_tol`` gives the exact integral of that product (on the
+    grid merged with both histories' knots); ``rel_tol=None`` gives the
+    composite trapezoid on ``t_grid``.
     """
     grid = _validate_grid(t_grid)
-    mass = _history_interpolator(mass_history, grid, "mass")
-    _require(bool(np.all(np.asarray([p[1] for p in mass_history]) >= 0.0)),
-             "mass history values must be non-negative")
-    pot = _history_interpolator(potential_history, grid, "potential")
-    phase = cumulative_trapezoid_phase(lambda t: mass(t) * pot(t), grid, rel_tol)
-    return PhaseHistory(times=grid, phase=phase / HBAR)
+    mass_t, mass = _history(mass_history, grid, "mass")
+    _require(bool(np.all(mass >= 0.0)), "mass history values must be non-negative")
+    pot_t, pot = _history(potential_history, grid, "potential")
+    if _exact(rel_tol):
+        nodes, at_grid = _merged_nodes(grid, mass_t, pot_t)
+        integral = _pwl_product_integral(nodes, np.interp(nodes, mass_t, mass),
+                                         np.interp(nodes, pot_t, pot))[at_grid]
+    else:
+        integral = _cumtrapz(np.interp(grid, mass_t, mass) * np.interp(grid, pot_t, pot),
+                             grid)
+    return PhaseHistory(times=grid, phase=integral / HBAR)
 
 
 def net_bulk_phase(species: Sequence[SpeciesCount], voltage: DriveWaveform,
@@ -240,38 +229,41 @@ def net_bulk_phase(species: Sequence[SpeciesCount], voltage: DriveWaveform,
 
     Per-unit charges follow the bulk sign convention (+2e Cooper pair,
     +e electron, -e ion), so a charge-neutral bulk accumulates zero net
-    phase.  All species share one refined quadrature grid, which keeps the
-    sum exactly linear in the per-species integrands.
+    phase.  The species are first summed into one piecewise-linear charge
+    history Q(t) = sum_s q_s N_s(t), whose product with V is integrated.
+    A positive ``rel_tol`` gives the exact integral: piece by piece in
+    closed form for a sinusoid, and on the grid merged with the unrolled
+    drive knots for a sampled drive (so its cost grows with the number of
+    drive periods the grid spans).  ``rel_tol=None`` gives the composite
+    trapezoid on ``t_grid``.
     """
     _require(len(species) >= 1, "net_bulk_phase needs at least one species")
     grid = _validate_grid(t_grid)
-    interps = [_history_interpolator(s.counts, grid, f"{s.species.value} counts")
-               for s in species]
+    counts = [_history(s.counts, grid, f"{s.species.value} counts") for s in species]
 
-    def total_integrand(t: np.ndarray) -> np.ndarray:
-        v = voltage.value(t)
-        out = np.zeros_like(np.asarray(t, dtype=float))
-        for s, n_of_t in zip(species, interps):
-            out = out + s.charge_per_unit * n_of_t(t) * v
-        return out
+    def charge(t: np.ndarray) -> np.ndarray:
+        return sum(s.charge_per_unit * np.interp(t, ts, ns)
+                   for s, (ts, ns) in zip(species, counts))
 
-    def species_magnitude(t: np.ndarray) -> np.ndarray:
-        # Intrinsic scale before any charge cancellation between species.
-        v = np.abs(voltage.value(t))
-        out = np.zeros_like(np.asarray(t, dtype=float))
-        for s, n_of_t in zip(species, interps):
-            out = out + abs(s.charge_per_unit) * n_of_t(t) * v
-        return out
-
-    level = _refinement_level(total_integrand, grid, rel_tol, species_magnitude)
-    nodes = _refined_nodes(grid, level)
-    v = voltage.value(nodes)
-    stride = 2 ** level
-    total = np.zeros(len(grid))
-    for s, n_of_t in zip(species, interps):
-        phase_s = _cumtrapz(s.charge_per_unit * n_of_t(nodes) * v, nodes)[::stride]
-        total = total + phase_s
-    return PhaseHistory(times=grid, phase=total / HBAR)
+    if not _exact(rel_tol):
+        integral = _cumtrapz(charge(grid) * voltage.value(grid), grid)
+    elif voltage.is_sinusoid:
+        # Where Q has slope dQ/h on a piece of length h, the integral of
+        # Q*cos(theta) is [Q*sin(theta)]/w + (dQ/h)*[cos(theta)]/w**2; the last
+        # term is written -dQ*sin(theta_mid)*sinc(w*h/2)/w to keep its digits
+        # when w*h is small.
+        nodes, at_grid = _merged_nodes(grid, *(ts for ts, _ in counts))
+        w, h, q = voltage.omega, np.diff(nodes), charge(nodes)
+        q_sin = q * np.sin(w * nodes + voltage.phase0)
+        mid = w * (nodes[:-1] + 0.5 * h) + voltage.phase0
+        slope = _cumsum0(np.diff(q) * np.sin(mid) * np.sinc(0.5 * w * h / np.pi))
+        integral = (voltage.amplitude / w) * ((q_sin - q_sin[0]) - slope)[at_grid]
+    else:
+        nodes, at_grid = _merged_nodes(grid, _drive_knots(voltage, grid),
+                                       *(ts for ts, _ in counts))
+        integral = _pwl_product_integral(nodes, charge(nodes),
+                                         voltage.value(nodes))[at_grid]
+    return PhaseHistory(times=grid, phase=integral / HBAR)
 
 
 def write_phase_csv(history: PhaseHistory, path: str) -> None:

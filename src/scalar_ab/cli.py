@@ -466,6 +466,11 @@ def parse_config(text: str) -> ExperimentConfig:
     _apply_defaults(experiment, params)
     _check_required(experiment, params)
 
+    if (experiment == "CircuitDynamics" and params.get("drive_t_off_ns") is not None
+            and params["drive_t_off_ns"] <= params["drive_t_on_ns"]):
+        raise ConfigError(
+            f"drive_t_off_ns ({params['drive_t_off_ns']:g}) must be later than "
+            f"drive_t_on_ns ({params['drive_t_on_ns']:g}); the drive would never turn on")
     if (experiment == "FloquetDecompose" and params.get("waveform") == "sampled"
             and len(params.get("samples_t_ns", []))
             != len(params.get("samples_u_over_h_GHz", []))):

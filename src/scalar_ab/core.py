@@ -213,8 +213,11 @@ class DriveWaveform:
         else:
             _require(self.samples is not None and len(self.samples) >= 2,
                      "DriveWaveform: sampled waveform needs >= 2 samples")
-            ts = np.array([t for t, _ in self.samples], dtype=float)
-            vs = np.array([v for _, v in self.samples], dtype=float)
+            # Read-only arrays built once; ``samples`` stays the stored field.
+            ts = _readonly([t for t, _ in self.samples])
+            vs = _readonly([v for _, v in self.samples])
+            object.__setattr__(self, "_times", ts)
+            object.__setattr__(self, "_values", vs)
             _require(bool(np.all(np.diff(ts) > 0.0)),
                      "DriveWaveform.samples timestamps must be strictly increasing")
             span = float(ts[-1] - ts[0])
@@ -249,8 +252,7 @@ class DriveWaveform:
         if self.kind == _SINUSOID:
             return self.amplitude * np.cos(self.omega * np.asarray(t, dtype=float)
                                            + self.phase0)
-        ts = np.array([s[0] for s in self.samples], dtype=float)
-        vs = np.array([s[1] for s in self.samples], dtype=float)
+        ts, vs = self._times, self._values
         tt = (np.asarray(t, dtype=float) - ts[0]) % self.period + ts[0]
         out = np.interp(tt, ts, vs)
         return out if np.ndim(t) else float(out)
@@ -259,8 +261,7 @@ class DriveWaveform:
         """Exact one-period average of the waveform."""
         if self.kind == _SINUSOID:
             return 0.0
-        ts = np.array([s[0] for s in self.samples], dtype=float)
-        vs = np.array([s[1] for s in self.samples], dtype=float)
+        ts, vs = self._times, self._values
         # trapezoid is exact for the piecewise-linear interpolant
         return float(np.sum(0.5 * (vs[1:] + vs[:-1]) * np.diff(ts)) / self.period)
 
@@ -274,8 +275,7 @@ class DriveWaveform:
             tt = np.asarray(t, dtype=float)
             return (self.amplitude / self.omega) * (np.sin(self.omega * tt + self.phase0)
                                                     - math.sin(self.phase0))
-        ts = np.array([s[0] for s in self.samples], dtype=float)
-        vs = np.array([s[1] for s in self.samples], dtype=float)
+        ts, vs = self._times, self._values
         seg = np.concatenate(([0.0], np.cumsum(0.5 * (vs[1:] + vs[:-1]) * np.diff(ts))))
         per_period = seg[-1]
         tt = np.asarray(t, dtype=float) - ts[0]

@@ -1,5 +1,5 @@
-"""Quadrature-based AB phase accumulation, checked against closed forms and
-a dense Riemann-sum oracle."""
+"""AB phase accumulation, checked against closed forms, a dense Riemann-sum
+oracle and Gauss-Legendre quadrature between every kink of the integrand."""
 
 import math
 
@@ -21,8 +21,25 @@ OMEGA_DRIVE = 2 * math.pi * 150e6
 ALPHA_COOPER_PAIR = 3.223985658088622
 
 
+# A kinked sampled drive over one 150 MHz period with a nonzero mean.
+SAMPLE_T = np.linspace(0.0, 1 / 150e6, 17)
+SAMPLE_V = 2e-6 * (0.25 + np.cos(OMEGA_DRIVE * SAMPLE_T)
+                   + 0.3 * np.sin(3 * OMEGA_DRIVE * SAMPLE_T))
+SAMPLE_V[-1] = SAMPLE_V[0]
+
+
 def constant_waveform(value, period=1.0):
     return DriveWaveform.sampled([0.0, period], [value, value])
+
+
+def gauss_legendre_cumulative(integrand, breaks, grid, order=8):
+    """Integral from grid[0] at each grid point, by Gauss-Legendre quadrature
+    on every piece between ``breaks``, which hold the grid and every kink."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    half = 0.5 * np.diff(breaks)
+    t = (breaks[:-1] + half)[:, None] + half[:, None] * x[None, :]
+    cum = np.concatenate([[0.0], np.cumsum(half * (integrand(t) @ w))])
+    return cum[np.searchsorted(breaks, grid)]
 
 
 class TestElectricPhase:
@@ -85,6 +102,21 @@ class TestGravPhase:
         ramp = -G * m * m0 * grid / (HBAR * r0)
         assert np.allclose(history.phase, ramp, rtol=1e-12)
 
+    def test_knots_between_grid_points_match_gauss_legendre(self):
+        grid = np.linspace(0.0, 10.0, 11)
+        mass_t = np.linspace(0.0, 10.0, 38)
+        mass_v = 1e-25 * (2.0 + np.sin(mass_t))
+        pot_t = np.linspace(-1.0, 11.0, 24)
+        pot_v = -G * 5e24 / 6.4e6 * (1.0 + 0.1 * np.cos(pot_t))
+        history = accumulate_grav_phase(list(zip(mass_t, mass_v)),
+                                        list(zip(pot_t, pot_v)), grid)
+        breaks = np.union1d(grid, np.concatenate([mass_t, pot_t[(pot_t > 0) & (pot_t < 10)]]))
+        oracle = gauss_legendre_cumulative(
+            lambda t: np.interp(t, mass_t, mass_v) * np.interp(t, pot_t, pot_v),
+            breaks, grid) / HBAR
+        assert history.phase[0] == 0.0
+        assert np.max(np.abs(history.phase - oracle)) < 1e-12 * np.max(np.abs(oracle))
+
     def test_rejects_coverage_gap(self):
         grid = np.linspace(0.0, 10.0, 11)
         with pytest.raises(ValueError, match="coverage gap"):
@@ -122,11 +154,18 @@ class TestBulkPhase:
         scale = n * np.max(np.abs(single.phase))
         assert np.max(np.abs(bulk.phase - n * single.phase)) < 1e-9 * scale
 
-    def test_time_varying_counts_match_riemann_oracle(self):
-        # Three-quarter period window so the net phase does not cancel.
-        drive = DriveWaveform.sinusoid(2e-6, OMEGA_DRIVE)
-        t_end = 0.75 / 150e6
-        grid = np.linspace(0.0, t_end, 401)
+    @pytest.mark.parametrize("drive, drive_knots, start_periods, end_periods", [
+        # A three-quarter period window so the net phase does not cancel.
+        pytest.param(DriveWaveform.sinusoid(2e-6, OMEGA_DRIVE), np.empty(0), 0.0, 0.75,
+                     id="sinusoid"),
+        # A grid starting off the drive origin and spanning several periods.
+        pytest.param(DriveWaveform.sampled(SAMPLE_T, SAMPLE_V), SAMPLE_T, 0.37, 3.6,
+                     id="sampled"),
+    ])
+    def test_time_varying_counts_match_riemann_oracle(self, drive, drive_knots,
+                                                      start_periods, end_periods):
+        t_start, t_end = start_periods / 150e6, end_periods / 150e6
+        grid = np.linspace(t_start, t_end, 401)
         ts = np.linspace(0.0, t_end, 9)
         n_cp = 1e8 * (1 + 0.5 * np.cos(2 * math.pi * ts / t_end) ** 2)
         species = [
@@ -136,20 +175,30 @@ class TestBulkPhase:
         ]
         net = net_bulk_phase(species, drive, grid)
 
+        def integrand(t):
+            out = np.zeros_like(t)
+            for s in species:
+                cts = np.array([c[0] for c in s.counts])
+                cns = np.array([c[1] for c in s.counts])
+                out += s.charge_per_unit * np.interp(t, cts, cns) * drive.value(t)
+            return out
+
         # Midpoint Riemann sum on a 10x denser grid, fully independent path.
-        dense = np.linspace(0.0, t_end, (len(grid) - 1) * 10 + 1)
+        dense = np.linspace(t_start, t_end, (len(grid) - 1) * 10 + 1)
         mids = 0.5 * (dense[1:] + dense[:-1])
-        dt = np.diff(dense)
-        integrand = np.zeros_like(mids)
-        for s in species:
-            cts = np.array([c[0] for c in s.counts])
-            cns = np.array([c[1] for c in s.counts])
-            integrand += s.charge_per_unit * np.interp(mids, cts, cns) * drive.value(mids)
-        oracle = np.concatenate([[0.0], np.cumsum(integrand * dt)]) / HBAR
+        oracle = np.concatenate([[0.0], np.cumsum(integrand(mids) * np.diff(dense))]) / HBAR
         oracle_at_grid = oracle[::10]
         scale = np.max(np.abs(net.phase))
         assert np.abs(net.phase[-1]) > 0.01 * scale  # genuinely nonzero
         assert np.max(np.abs(net.phase - oracle_at_grid)) < 1e-6 * scale
+
+        # Gauss-Legendre between the grid, count and unrolled drive knots.
+        unrolled = (drive_knots[:, None] + np.arange(5) / 150e6).ravel()
+        kinks = np.concatenate([ts, unrolled])
+        breaks = np.union1d(grid, kinks[(kinks > t_start) & (kinks < t_end)])
+        exact = gauss_legendre_cumulative(integrand, breaks, grid) / HBAR
+        assert net.phase[0] == 0.0
+        assert np.max(np.abs(net.phase - exact)) < 1e-12 * scale
 
     def test_requires_at_least_one_species(self):
         drive = DriveWaveform.sinusoid(1.0, 1e6)
@@ -201,6 +250,38 @@ class TestQuadratureProperties:
 
         coarse, fine = max_error(301), max_error(601)
         assert coarse / fine >= 4.0
+
+    @pytest.mark.parametrize("rel_tol", [0.0, -1.0])
+    def test_non_positive_rel_tol_rejected(self, rel_tol):
+        drive = DriveWaveform.sinusoid(1e-6, OMEGA_DRIVE)
+        grid = np.linspace(0.0, 1e-8, 11)
+        history = [(0.0, 1.0), (1e-8, 1.0)]
+        species = [SpeciesCount.constant(Species.ELECTRON, 1.0, (0.0, 1e-8))]
+        calls = (lambda: accumulate_electric_phase(E, drive, grid, rel_tol=rel_tol),
+                 lambda: accumulate_grav_phase(history, history, grid, rel_tol=rel_tol),
+                 lambda: net_bulk_phase(species, drive, grid, rel_tol=rel_tol))
+        for call in calls:
+            with pytest.raises(ValueError, match="rel_tol must be positive"):
+                call()
+
+    def test_rough_sampled_drive_is_exact(self):
+        # 4,097 white-noise samples over 1 us phased over three periods: the
+        # exact integral of the interpolant, with no refinement loop to stall.
+        rng = np.random.default_rng(4097)
+        kt = np.linspace(0.0, 1e-6, 4097)
+        kv = rng.normal(0.0, 1e-6, 4097)
+        kv[-1] = kv[0]
+        grid = np.linspace(0.0, 3e-6, 20001)
+        history = accumulate_electric_phase(E, DriveWaveform.sampled(kt, kv), grid)
+        # Oracle: trapezoid on the grid merged with the drive knots of all
+        # three periods, which is exact for the piecewise-linear drive.
+        unrolled = (kt[:-1, None] + np.array([0.0, 1e-6, 2e-6])).ravel()
+        nodes = np.union1d(grid, unrolled[unrolled < grid[-1]])
+        v = np.interp(np.mod(nodes, 1e-6), kt, kv)
+        cum = np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(nodes))])
+        oracle = E / HBAR * cum[np.searchsorted(nodes, grid)]
+        assert history.phase[0] == 0.0
+        assert np.max(np.abs(history.phase - oracle)) < 1e-12 * np.max(np.abs(oracle))
 
     def test_refinement_meets_requested_tolerance(self):
         drive = DriveWaveform.sinusoid(1e-6, OMEGA_DRIVE)

@@ -265,6 +265,17 @@ class TestMainAndExitCodes:
         doc.write_text(json.dumps({"experiment": "BulkPhase", "parameters": {}}))
         assert main(["CircuitDynamics", "--config", str(doc)]) == EXIT_CONFIG_ERROR
 
+    @pytest.mark.parametrize("t_on, t_off", [(0.0, 0.0), (8.0, 5.0)])
+    def test_drive_off_not_after_on_is_config_error(self, tmp_path, capsys, t_on, t_off):
+        doc = tmp_path / "conf.json"
+        doc.write_text(json.dumps(circuit_config(tmp_path / "x.csv", drive_t_on_ns=t_on,
+                                                 drive_t_off_ns=t_off)))
+        assert main(["CircuitDynamics", "--config", str(doc)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "drive_t_off_ns" in err and "drive_t_on_ns" in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_sweep_runs_all_configs(self, tmp_path, capsys):
         paths = []
         for i, amplitude in enumerate((0.0, 1.0)):
