@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import E_CHARGE, HBAR, DriveWaveform, _readonly, _require
+from .core import E_CHARGE, HBAR, DriveWaveform, _readonly, _require, _strictly_increasing
 
 __all__ = [
     "PhaseHistory",
@@ -50,7 +50,7 @@ class PhaseHistory:
         _require(len(self.times) == len(self.phase),
                  "PhaseHistory.times and phase must have equal length")
         _require(len(self.times) >= 1, "PhaseHistory must contain at least one point")
-        _require(bool(np.all(np.diff(self.times) > 0.0)),
+        _require(_strictly_increasing(self.times),
                  "PhaseHistory.times must be strictly increasing")
         _require(self.phase[0] == 0.0, "PhaseHistory.phase[0] must be exactly 0")
 
@@ -97,7 +97,7 @@ class SpeciesCount:
         ts = np.array([t for t, _ in counts])
         ns = np.array([n for _, n in counts])
         _require(len(counts) >= 1, "SpeciesCount.counts must be non-empty")
-        _require(bool(np.all(np.diff(ts) > 0.0)),
+        _require(_strictly_increasing(ts),
                  "SpeciesCount.counts timestamps must be strictly increasing")
         _require(bool(np.all(ns >= 0.0)), "SpeciesCount.counts must be non-negative")
 
@@ -110,7 +110,7 @@ class SpeciesCount:
 def _validate_grid(t_grid: Sequence[float]) -> np.ndarray:
     grid = np.asarray(t_grid, dtype=float)
     _require(grid.ndim == 1 and len(grid) >= 2, "t_grid must contain >= 2 points")
-    if not np.all(np.diff(grid) > 0.0):
+    if not _strictly_increasing(grid):
         raise ValueError("t_grid must be strictly increasing (non-monotonic grid rejected)")
     return grid
 
@@ -121,7 +121,7 @@ def _history(history: Sequence[tuple[float, float]], t_grid: np.ndarray,
     ts = np.asarray([p[0] for p in history], dtype=float)
     vs = np.asarray([p[1] for p in history], dtype=float)
     _require(len(ts) >= 1, f"{what} history must be non-empty")
-    _require(bool(np.all(np.diff(ts) > 0.0)),
+    _require(_strictly_increasing(ts),
              f"{what} history timestamps must be strictly increasing")
     if ts[0] > t_grid[0] or ts[-1] < t_grid[-1]:
         raise ValueError(
@@ -151,7 +151,9 @@ def _merged_nodes(grid: np.ndarray, *knots: np.ndarray) -> tuple[np.ndarray, np.
     """The grid plus every knot strictly inside its span, and the index of
     each grid point among those nodes."""
     inner = [k[(k > grid[0]) & (k < grid[-1])] for k in knots]
-    nodes = np.union1d(grid, np.concatenate(inner))
+    # np.union1d would import numpy.ma on first use (~14 ms).
+    nodes = np.sort(np.concatenate((grid, *inner)))
+    nodes = nodes[np.concatenate(([True], nodes[1:] != nodes[:-1]))]
     return nodes, np.searchsorted(nodes, grid)
 
 

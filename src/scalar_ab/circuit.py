@@ -13,23 +13,27 @@ system conserves the specific energy
 
     E = phi_dot^2/2 + omega_c^2 * phi^2/2 + nonlinear_coeff * (1 - cos(phi)).
 
-Integration uses the compiled Hairer DOP853/DOPRI5 codes via
-``scipy.integrate.ode`` (DOP853 by default); samples are reached by stepping
-to each output time.  A fixed-step classic RK4 is kept for
-bit-reproducibility studies.
+Integration calls the compiled Hairer DOP853/DOPRI5 codes (DOP853 by
+default) in scipy's private extension ``scipy/integrate/_dop``, loaded from
+its file on first use so that importing this module imports no scipy package;
+samples are reached by stepping to each output time.  A fixed-step classic
+RK4 is kept for bit-reproducibility studies.  Potential extrema are refined
+by a safeguarded Newton-bisection on the closed-form dU/dphi.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
-import warnings
+import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import ode
-from scipy.optimize import brentq
 
-from .core import E_CHARGE, HBAR, CircuitParams, DriveWaveform, Trajectory, _readonly, _require
+from .core import (E_CHARGE, HBAR, CircuitParams, DriveWaveform, Trajectory, _readonly,
+                   _require, _strictly_increasing)
 
 __all__ = [
     "EomParams",
@@ -271,6 +275,50 @@ def _rk4_fixed(rhs, t_grid: np.ndarray, y0: np.ndarray, step: float) -> np.ndarr
     return out
 
 
+# Return codes of the Hairer codes, as scipy's wrapper words them.
+_DOP_FAILURES = {
+    -1: "input is not consistent",
+    -2: "larger nsteps is needed",
+    -3: "step size becomes too small",
+    -4: "problem is probably stiff (interrupted)",
+}
+
+
+def _no_solout(x, y):
+    """The codes' per-step callback; never called, since iout is 0."""
+    return 1
+
+
+@functools.cache
+def _dop_codes():
+    """scipy's compiled DOP853/DOPRI5 extension, loaded from its file.
+
+    ``find_spec`` locates scipy without running its ``__init__``, and the
+    extension imports numpy only, so this costs ~1 ms where importing scipy's
+    integrate package costs ~0.9 s.  The price is reliance on a private
+    module; a missing file raises ImportError naming the scipy version and
+    the directory searched.
+    """
+    spec = importlib.util.find_spec("scipy")
+    folder = os.path.join(spec.submodule_search_locations[0], "integrate") if spec else None
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES if folder else ():
+        path = os.path.join(folder, "_dop" + suffix)
+        if os.path.isfile(path):
+            loader = importlib.machinery.ExtensionFileLoader("_dop", path)
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_file_location(loader.name, path, loader=loader))
+            loader.exec_module(module)
+            return module
+    from importlib.metadata import PackageNotFoundError, version
+    try:
+        found = f"scipy {version('scipy')}"
+    except PackageNotFoundError:
+        found = "no scipy"
+    raise ImportError(
+        f"integrate_trajectory needs scipy's compiled DOP853/DOPRI5 extension "
+        f"_dop in {folder}; found {found}")
+
+
 def integrate_trajectory(eom: EomParams, phi0: float, phidot0: float,
                          t_span: tuple[float, float],
                          step_control: StepControl = StepControl(), *,
@@ -279,9 +327,9 @@ def integrate_trajectory(eom: EomParams, phi0: float, phidot0: float,
     """Integrate the equation of motion over ``t_span``.
 
     Output is sampled on ``n_samples`` uniformly spaced times.  The adaptive
-    methods run the compiled Hairer DOP853/DOPRI5 codes via
-    ``scipy.integrate.ode``; samples are reached by stepping to each output
-    time.  A decreasing ``t_span`` integrates backwards, which is how the
+    methods call the compiled Hairer DOP853/DOPRI5 codes directly, once per
+    output time, with the step-size settings of scipy's ``ode`` wrapper.  A
+    decreasing ``t_span`` integrates backwards, which is how the
     time-reversal checks are run.  Integrator failures (step-size underflow
     from stiffness, non-finite state) raise :class:`IntegrationError`.
     """
@@ -319,25 +367,30 @@ def integrate_trajectory(eom: EomParams, phi0: float, phidot0: float,
     # atol [abs_tol, abs_tol*w], with w the fastest system rate.
     rate_scale = max(eom.small_oscillation_frequency, eom.drive_omega,
                      1.0 / abs(t1 - t0))
-    name = "dop853" if step_control.method == "dop853" else "dopri5"
-    solver = ode(_rhs_factory(eom, envelope, ramp, rate_scale)).set_integrator(
-        name, rtol=step_control.rel_tol, atol=step_control.abs_tol,
-        nsteps=2 ** 31 - 1,  # no step limit
-        max_step=0.0 if math.isinf(step_control.max_step) else step_control.max_step)
-    solver.set_initial_value([float(phi0), float(phidot0) / rate_scale], t0)
+    rhs = _rhs_factory(eom, envelope, ramp, rate_scale)
+    if step_control.method == "dop853":
+        name, run, n_work, dfactor, ifactor = "dop853", _dop_codes().dopri853, 43, 0.3, 6.0
+    else:
+        name, run, n_work, dfactor, ifactor = "dopri5", _dop_codes().dopri5, 37, 0.2, 10.0
+    work = np.zeros(n_work)  # 11n+21 (DOP853) or 8n+21 (DOPRI5) doubles, n = 2
+    max_step = 0.0 if math.isinf(step_control.max_step) else step_control.max_step
+    work[1:7] = 0.9, dfactor, ifactor, 0.0, max_step, 0.0  # safety .. first_step (auto)
+    iwork = np.zeros(21, dtype=np.int32)
+    t = t0
+    state = np.array([float(phi0), float(phidot0) / rate_scale])
     y = np.empty((2, n_samples))
     y[:, 0] = phi0, phidot0
-    # The solver reports a failed return code as a UserWarning; keep it
-    # for the error message instead of printing it.
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", UserWarning)
-        for i in range(1, n_samples):
-            y[:, i] = solver.integrate(t_grid[i])
-            if not solver.successful():
-                detail = "; ".join(str(w.message) for w in caught)
-                raise IntegrationError(
-                    f"integration aborted at t={solver.t:.6g} s: {detail} "
-                    f"(return code {solver.get_return_code()})")
+    for i in range(1, n_samples):
+        # The codes may write into y, hence the copy; the trailing () is
+        # fcn_extra_args, and leaving it out has crashed the process.
+        t, state, idid = run(rhs, t, state.copy(), t_grid[i], step_control.rel_tol,
+                             step_control.abs_tol, _no_solout, 0, work, iwork,
+                             2 ** 31 - 1, -1, ())  # no step limit, silent
+        if idid < 0:
+            raise IntegrationError(
+                f"{name} aborted at t={t:.6g} s: "
+                f"{_DOP_FAILURES.get(idid, 'unknown failure')} (return code {idid})")
+        y[:, i] = state
     y[1, 1:] *= rate_scale
     if not np.all(np.isfinite(y)):
         raise IntegrationError("integration produced non-finite state (NaN guard)")
@@ -372,7 +425,7 @@ class PotentialLandscape:
         object.__setattr__(self, "barrier_heights", tuple(float(b) for b in self.barrier_heights))
         _require(len(self.phi_grid) == len(self.u_values),
                  "PotentialLandscape grid and values must have equal length")
-        _require(bool(np.all(np.diff(self.phi_grid) > 0.0)),
+        _require(_strictly_increasing(self.phi_grid),
                  "PotentialLandscape.phi_grid must be strictly increasing")
         _require(all(self.minima[i][0] < self.minima[i + 1][0]
                      for i in range(len(self.minima) - 1)),
@@ -405,6 +458,31 @@ def _potential_factory(params: CircuitParams):
     return u, du, d2u
 
 
+def _bracketed_root(f, df, a: float, b: float) -> float:
+    """Root of f between a and b, where f changes sign: a Newton step is
+    taken when it lands inside the shrinking bracket and is under half the
+    step before last, else the bracket is bisected.  Stops once a step is
+    under (xtol + rtol*|x|)/2 with xtol 1e-14 and rtol 8.9e-16."""
+    neg, pos = (float(a), float(b)) if f(a) < 0.0 else (float(b), float(a))
+    x = 0.5 * (neg + pos)
+    last = abs(pos - neg)
+    while True:
+        fx = float(f(x))
+        if fx == 0.0:
+            return x
+        if fx < 0.0:
+            neg = x
+        else:
+            pos = x
+        dx = fx / float(df(x))
+        if not (abs(dx) < 0.5 * last and min(neg, pos) < x - dx < max(neg, pos)):
+            dx = x - 0.5 * (neg + pos)  # bisect; also taken when df(x) is 0
+        last = abs(dx)
+        x -= dx
+        if last < 0.5 * (1e-14 + 8.9e-16 * abs(x)):
+            return x
+
+
 def potential_landscape(params: CircuitParams, phi_range: tuple[float, float],
                         n_points: int) -> PotentialLandscape:
     """Map U(phi) = (hbar/2e)^2 phi^2/(2L) - E_J cos(phi) over ``phi_range``.
@@ -415,7 +493,7 @@ def potential_landscape(params: CircuitParams, phi_range: tuple[float, float],
     lo, hi = float(phi_range[0]), float(phi_range[1])
     _require(lo < hi, "potential_landscape phi_range must be increasing")
     _require(n_points >= 3, "potential_landscape needs n_points >= 3")
-    u, du, _ = _potential_factory(params)
+    u, du, d2u = _potential_factory(params)
     grid = np.linspace(lo, hi, int(n_points))
     values = u(grid)
 
@@ -424,7 +502,7 @@ def potential_landscape(params: CircuitParams, phi_range: tuple[float, float],
     for idx in interior:
         a, b = grid[idx - 1], grid[idx + 1]
         if du(a) < 0.0 < du(b):
-            phi_star = brentq(du, a, b, xtol=1e-14, rtol=8.9e-16)
+            phi_star = _bracketed_root(du, d2u, a, b)
         else:
             phi_star = float(grid[idx])  # flat-to-grid resolution; keep grid point
         minima.append((float(phi_star), float(u(phi_star))))
@@ -438,7 +516,7 @@ def potential_landscape(params: CircuitParams, phi_range: tuple[float, float],
         a = candidates[idx - 1] if idx > 0 else p_left
         b = candidates[idx + 1] if len(candidates) and idx < len(candidates) - 1 else p_right
         if du(a) > 0.0 > du(b):
-            top = brentq(du, a, b, xtol=1e-14, rtol=8.9e-16)
+            top = _bracketed_root(du, d2u, a, b)
         else:
             top = float(candidates[idx]) if len(candidates) else 0.5 * (p_left + p_right)
         barriers.append(float(u(top)) - max(u_left, u_right))

@@ -53,6 +53,7 @@ class KeySpec:
     default: Any = None
     choices: tuple[str, ...] | None = None
     positive: bool = False
+    minimum: int | None = None  # least allowed value of an "int" key
 
 
 EXPERIMENTS = (
@@ -84,7 +85,7 @@ SCHEMAS: dict[str, dict[str, KeySpec]] = {
         "drive_phase0_rad": KeySpec("number", "drive phase offset, radians", default=0.0),
         "t_end_ns": KeySpec("number", "integration end time, nanoseconds",
                             required=True, positive=True),
-        "n_samples": KeySpec("int", "number of output samples", default=2001),
+        "n_samples": KeySpec("int", "number of output samples", default=2001, minimum=2),
         "drive_t_on_ns": KeySpec("number", "drive-on time, nanoseconds", default=0.0),
         "drive_t_off_ns": KeySpec("number", "drive-off time, nanoseconds (null = never)"),
         "drive_switch": KeySpec("string", "switching profile", default="ramp",
@@ -94,7 +95,7 @@ SCHEMAS: dict[str, dict[str, KeySpec]] = {
         "initial_phidot_rad_per_s": KeySpec("number", "initial phase rate, rad/s", default=0.0),
         "method": KeySpec("string", "integrator", default="dop853",
                           choices=("dop853", "rk45", "rk4")),
-        "fixed_step_ns": KeySpec("number", "fixed step for rk4, nanoseconds"),
+        "fixed_step_ns": KeySpec("number", "fixed step for rk4, nanoseconds", positive=True),
     },
     "PotentialLandscape": {
         "preset": KeySpec("string", "named parameter preset", choices=("fig4",)),
@@ -103,7 +104,7 @@ SCHEMAS: dict[str, dict[str, KeySpec]] = {
         "e_josephson_GHz": KeySpec("number", "junction energy E_J/h, gigahertz", required=True),
         "phi_min_rad": KeySpec("number", "lower phase bound, radians", default=-4.0 * math.pi),
         "phi_max_rad": KeySpec("number", "upper phase bound, radians", default=4.0 * math.pi),
-        "n_points": KeySpec("int", "grid resolution", default=4001),
+        "n_points": KeySpec("int", "grid resolution", default=4001, minimum=3),
         "c_sigma_fF": KeySpec("number", "total capacitance, femtofarads",
                               default=55.76481251856608, positive=True),
         "c_prime_fF": KeySpec("number", "island capacitance, femtofarads",
@@ -155,7 +156,7 @@ SCHEMAS: dict[str, dict[str, KeySpec]] = {
                                   positive=True),
         "t_end_s": KeySpec("number", "phase accumulation window, seconds (exploding mode)",
                            positive=True),
-        "n_samples": KeySpec("int", "number of output samples", default=2001),
+        "n_samples": KeySpec("int", "number of output samples", default=2001, minimum=2),
     },
     "BulkPhase": {
         "drive_amplitude_uV": KeySpec("number", "drive amplitude, microvolts", required=True),
@@ -163,7 +164,7 @@ SCHEMAS: dict[str, dict[str, KeySpec]] = {
                                        required=True, positive=True),
         "t_end_ns": KeySpec("number", "accumulation end time, nanoseconds",
                             required=True, positive=True),
-        "n_samples": KeySpec("int", "number of output samples", default=2001),
+        "n_samples": KeySpec("int", "number of output samples", default=2001, minimum=2),
         "species": KeySpec("species", "list of species population entries", required=True),
     },
 }
@@ -346,6 +347,10 @@ def _validate_parameters(experiment: str, raw: Mapping[str, Any]) -> dict[str, A
                 raise ConfigError(
                     f"key '{key}' in {experiment} parameters must be an integer "
                     f"({spec.unit}); got {value!r}")
+            if spec.minimum is not None and value < spec.minimum:
+                raise ConfigError(
+                    f"key '{key}' in {experiment} parameters must be at least "
+                    f"{spec.minimum} ({spec.unit}); got {value}")
             out[key] = int(value)
         elif spec.kind == "string":
             if not isinstance(value, str):
@@ -471,6 +476,15 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(
             f"drive_t_off_ns ({params['drive_t_off_ns']:g}) must be later than "
             f"drive_t_on_ns ({params['drive_t_on_ns']:g}); the drive would never turn on")
+    if (experiment == "CircuitDynamics" and params["method"] == "rk4"
+            and "fixed_step_ns" not in params):
+        raise ConfigError("method 'rk4' needs fixed_step_ns (fixed step for rk4, "
+                          "nanoseconds)")
+    if (experiment == "GravRedshift" and params["mode"] == "sidebands"
+            and abs(params["m1_kg"]) > params["m0_kg"]):
+        raise ConfigError(
+            f"|m1_kg| ({params['m1_kg']:g}) must not exceed m0_kg ({params['m0_kg']:g}); "
+            "the shell mass would turn negative")
     if (experiment == "FloquetDecompose" and params.get("waveform") == "sampled"
             and len(params.get("samples_t_ns", []))
             != len(params.get("samples_u_over_h_GHz", []))):

@@ -38,6 +38,11 @@ def _require(condition: bool, invariant: str) -> None:
         raise ValueError(f"invariant violated: {invariant}")
 
 
+def _strictly_increasing(a: np.ndarray) -> bool:
+    """``np.all(np.diff(a) > 0)`` without the diff array: False at any NaN."""
+    return bool((a[1:] > a[:-1]).all())
+
+
 def _readonly(values: Iterable[float]) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     arr.setflags(write=False)
@@ -218,7 +223,7 @@ class DriveWaveform:
             vs = _readonly([v for _, v in self.samples])
             object.__setattr__(self, "_times", ts)
             object.__setattr__(self, "_values", vs)
-            _require(bool(np.all(np.diff(ts) > 0.0)),
+            _require(_strictly_increasing(ts),
                      "DriveWaveform.samples timestamps must be strictly increasing")
             span = float(ts[-1] - ts[0])
             _require(abs(self.period - span) <= 1e-9 * span,
@@ -328,7 +333,7 @@ class Trajectory:
         n = len(self.times)
         _require(len(self.delta_phi) == n and len(self.delta_phi_dot) == n,
                  "Trajectory lists must have equal length")
-        _require(bool(np.all(np.diff(self.times) > 0.0)),
+        _require(_strictly_increasing(self.times),
                  "Trajectory.times must be strictly increasing")
 
     def to_csv(self, path: str) -> None:

@@ -2,12 +2,17 @@
 oracle and Gauss-Legendre quadrature between every kink of the integrand."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scalar_ab
 from scalar_ab.ab_phase import (PhaseHistory, Species, SpeciesCount,
-                                accumulate_electric_phase,
+                                _merged_nodes, accumulate_electric_phase,
                                 accumulate_grav_phase, net_bulk_phase)
 from scalar_ab.core import CODATA2018, DriveWaveform
 
@@ -312,3 +317,38 @@ class TestPhaseHistoryType:
     def test_species_count_rejects_negative(self):
         with pytest.raises(ValueError, match="non-negative"):
             SpeciesCount(Species.ELECTRON, ((0.0, -1.0), (1.0, 1.0)))
+
+
+class TestMergedNodes:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_union1d(self, seed):
+        rng = np.random.default_rng(seed)
+        grid = np.sort(rng.choice(np.linspace(-1.0, 1.0, 41), 12, replace=False))
+        knots = [rng.choice(np.linspace(-1.5, 1.5, 61), rng.integers(0, 30))
+                 for _ in range(rng.integers(1, 4))]
+        nodes, at_grid = _merged_nodes(grid, *knots)
+        inner = [k[(k > grid[0]) & (k < grid[-1])] for k in knots]
+        expected = np.union1d(grid, np.concatenate(inner))
+        assert nodes.tobytes() == expected.tobytes()
+        assert np.array_equal(nodes[at_grid], grid)
+
+    def test_phase_ops_leave_numpy_ma_unimported(self):
+        # np.union1d imports numpy.ma (~14 ms) on its first call.
+        code = """
+import sys
+import numpy as np
+from scalar_ab.ab_phase import (Species, SpeciesCount, accumulate_grav_phase,
+                                net_bulk_phase)
+from scalar_ab.core import DriveWaveform
+grid = np.linspace(0.0, 1e-8, 101)
+count = SpeciesCount(Species.ELECTRON, ((0.0, 1.0), (3.3e-9, 2.0), (1e-8, 1.0)))
+net_bulk_phase([count], DriveWaveform.sinusoid(1e-6, 1e9), grid)
+accumulate_grav_phase([(0.0, 1.0), (5.5e-9, 2.0), (1e-8, 2.0)],
+                      [(0.0, -1.0), (2.2e-9, -3.0), (1e-8, -2.0)], grid)
+assert "numpy.ma" not in sys.modules, "numpy.ma imported"
+"""
+        src = str(Path(scalar_ab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr

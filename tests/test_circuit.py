@@ -2,11 +2,17 @@
 mapping, and flux-quantum bookkeeping."""
 
 import csv
+import importlib.machinery
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy
+from scipy.integrate import ode
+from scipy.optimize import brentq
 
+from scalar_ab import circuit
 from scalar_ab.circuit import (DriveEnvelope, IntegrationError,
                                PotentialLandscape, StepControl, build_eom,
                                flux_quantum_count, harmonic_level_spacing,
@@ -243,6 +249,79 @@ class TestIntegrateTrajectory:
         assert np.array_equal(values[:, 2], traj.delta_phi_dot)
 
 
+class TestCompiledCodes:
+    """integrate_trajectory calls scipy's compiled DOP853/DOPRI5 extension
+    directly; scipy.integrate.ode running the same codes is the oracle."""
+
+    @staticmethod
+    def ode_oracle(eom, phi0, phidot0, t_span, control, envelope, n_samples):
+        t0, t1 = t_span
+        ramp = 0.0
+        if envelope is not None:
+            ramp = envelope.resolve_ramp(2 * math.pi / eom.drive_omega)
+        w = max(eom.small_oscillation_frequency, eom.drive_omega, 1.0 / abs(t1 - t0))
+        solver = ode(circuit._rhs_factory(eom, envelope, ramp, w)).set_integrator(
+            "dop853" if control.method == "dop853" else "dopri5",
+            rtol=control.rel_tol, atol=control.abs_tol, nsteps=2 ** 31 - 1,
+            max_step=0.0 if math.isinf(control.max_step) else control.max_step)
+        solver.set_initial_value([phi0, phidot0 / w], t0)
+        y = np.empty((2, n_samples))
+        y[:, 0] = phi0, phidot0
+        for i, t in enumerate(np.linspace(t0, t1, n_samples)[1:], start=1):
+            y[:, i] = solver.integrate(t)
+            assert solver.successful()
+        y[1, 1:] *= w
+        return y[:, ::-1] if t1 < t0 else y
+
+    @pytest.mark.parametrize("method", ["dop853", "rk45"])
+    @pytest.mark.parametrize("case", ["driven", "backward", "max_step"])
+    def test_bit_identical_to_scipy_ode(self, method, case):
+        envelope = None
+        t_span = (0.0, 6e-9)
+        control = StepControl(method=method)
+        if case == "driven":
+            eom = build_eom(fig3_params(), DriveWaveform.sinusoid(1e-6, OMEGA_DRIVE))
+            envelope = DriveEnvelope(t_off=4e-9, ramp_duration=1e-9)
+            phi0, phidot0 = 0.0, 0.0
+        else:
+            eom = build_eom(fig3_params(), None)
+            phi0, phidot0 = 0.4, -3e9
+            if case == "backward":
+                t_span = (6e-9, 0.0)
+            else:
+                control = StepControl(method=method, max_step=1e-11)
+        traj = integrate_trajectory(eom, phi0, phidot0, t_span, control,
+                                    envelope=envelope, n_samples=301)
+        oracle = self.ode_oracle(eom, phi0, phidot0, t_span, control, envelope, 301)
+        assert np.max(np.abs(traj.delta_phi)) > 0.0
+        assert np.array_equal(traj.delta_phi, oracle[0])
+        assert np.array_equal(traj.delta_phi_dot, oracle[1])
+
+    def test_failure_names_method_and_reason_and_warns_nothing(self):
+        eom = build_eom(fig3_params(), None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationError,
+                               match=r"dopri5 aborted .*step size becomes too small "
+                                     r"\(return code -3\)"):
+                integrate_trajectory(eom, 0.1, 0.0, (1e10, 1e10 + 1e-6),
+                                     StepControl(method="rk45"), n_samples=11)
+
+    def test_missing_extension_names_scipy_version(self, monkeypatch):
+        eom = build_eom(fig3_params(), None)
+        with monkeypatch.context() as patch:
+            patch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing.so"])
+            circuit._dop_codes.cache_clear()
+            with pytest.raises(ImportError) as info:
+                integrate_trajectory(eom, 0.1, 0.0, (0.0, 1e-9), n_samples=3)
+        message = str(info.value)
+        assert f"scipy {scipy.__version__}" in message
+        assert "integrate" in message and "_dop" in message
+        # Found again once the file is back.
+        traj = integrate_trajectory(eom, 0.1, 0.0, (0.0, 1e-9), n_samples=3)
+        assert np.all(np.isfinite(traj.delta_phi))
+
+
 class TestPotentialLandscape:
     def test_pure_parabola_has_single_minimum_at_zero(self):
         landscape = potential_landscape(fig3_params(e_josephson=0.0),
@@ -283,6 +362,32 @@ class TestPotentialLandscape:
                                             4001)
             counts.append(len(landscape.minima))
         assert counts == sorted(counts)
+
+    @pytest.mark.parametrize("ratio", [8.0, 25.0, 60.0])
+    def test_extrema_match_brentq(self, ratio):
+        # Newton-bisection against scipy's Brent solver at the tolerances
+        # the landscape used with it (xtol 1e-14, rtol 8.9e-16).
+        params = fig3_params(inductance=0.0, e_inductive=1e9 * H,
+                             e_josephson=ratio * 1e9 * H)
+        landscape = potential_landscape(params, (-4 * math.pi, 4 * math.pi), 4001)
+        u, du, d2u = circuit._potential_factory(params)
+        step = landscape.phi_grid[1] - landscape.phi_grid[0]
+        assert len(landscape.barrier_heights) >= 1
+        for phi, energy in landscape.minima:
+            expected = brentq(du, phi - step, phi + step, xtol=1e-14, rtol=8.9e-16)
+            assert abs(phi - expected) <= 5e-14
+            assert energy == pytest.approx(float(u(expected)), rel=1e-12, abs=0.0)
+        for (left, u_left), (right, u_right), height in zip(
+                landscape.minima, landscape.minima[1:], landscape.barrier_heights):
+            grid = landscape.phi_grid
+            inside = grid[(grid > left) & (grid < right)]
+            k = int(np.argmax(u(inside)))
+            a, b = inside[k - 1], inside[k + 1]
+            top = circuit._bracketed_root(du, d2u, a, b)
+            expected = brentq(du, a, b, xtol=1e-14, rtol=8.9e-16)
+            assert abs(top - expected) <= 5e-14
+            assert height == pytest.approx(float(u(expected)) - max(u_left, u_right),
+                                           rel=1e-12, abs=0.0)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError, match="n_points"):

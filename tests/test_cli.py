@@ -4,10 +4,15 @@ schemas, exit codes, and byte-level determinism."""
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scalar_ab
 from scalar_ab.cli import (EXIT_CONFIG_ERROR, EXIT_NUMERIC_FAILURE, EXIT_OK,
                            PRESETS, SCHEMAS, ConfigError, main, parse_config,
                            run_experiment)
@@ -276,6 +281,26 @@ class TestMainAndExitCodes:
         assert "drive_t_off_ns" in err and "drive_t_on_ns" in err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("target, overrides, key", [
+        ("fig3", {"n_samples": 1}, "n_samples"),
+        ("fig3", {"method": "rk4"}, "fixed_step_ns"),
+        ("fig3", {"method": "rk4", "fixed_step_ns": -0.001}, "fixed_step_ns"),
+        ("fig4", {"n_points": 2}, "n_points"),
+        ("earth-shell", {"m1_kg": 1e30}, "m1_kg"),
+    ])
+    def test_bad_value_is_config_error(self, tmp_path, capsys, target, overrides, key):
+        experiment = PRESETS[target]["experiment"]
+        doc = tmp_path / "conf.json"
+        doc.write_text(json.dumps(
+            {"experiment": experiment,
+             "parameters": {"preset": target, **overrides},
+             "output": {"path": str(tmp_path / "out")}}))
+        assert main([experiment, "--config", str(doc)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert key in err and "numeric failure" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_sweep_runs_all_configs(self, tmp_path, capsys):
         paths = []
         for i, amplitude in enumerate((0.0, 1.0)):
@@ -321,6 +346,32 @@ class TestMainAndExitCodes:
                             "drive_frequency_MHz": 150.0},
              "output": {"path": str(tmp_path / "same.json"), "format": "json"}}))
         assert main(["--sweep", str(conf), str(conf)]) == EXIT_CONFIG_ERROR
+
+
+class TestStartupImports:
+    def test_runs_import_no_scipy_package(self, tmp_path):
+        # The circuit module loads scipy's compiled DOP codes from their file,
+        # so no scipy package __init__ (~0.9 s of import) runs.
+        code = """
+import sys
+from scalar_ab.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+assert scipy_modules() == [], scipy_modules()
+for target in ("fig4", "earth-shell", "supernova-shell"):
+    assert main([target, "--out", target + ".out"]) == 0
+    assert scipy_modules() == [], (target, scipy_modules())
+assert main(["fig3", "--out", "fig3.csv"]) == 0
+assert "scipy.integrate" not in sys.modules, scipy_modules()
+"""
+        src = str(Path(scalar_ab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "fig3.csv").stat().st_size > 0
 
 
 class TestDeterminism:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from scalar_ab.core import (CODATA2018, C_LIGHT, CircuitParams, DriveWaveform,
                             MassShell, PhysicalConstants, SidebandSpectrum,
-                            Trajectory, TwoLevelAtom)
+                            Trajectory, TwoLevelAtom, _strictly_increasing)
 
 H = CODATA2018.h
 E = CODATA2018.e_charge
@@ -221,3 +221,16 @@ def test_sinusoid_round_trip_is_identity(amplitude, omega, phase0):
     w = DriveWaveform.sinusoid(amplitude, omega, phase0)
     again = DriveWaveform.from_dict(json.loads(json.dumps(w.to_dict())))
     assert again == w
+
+
+class TestStrictlyIncreasing:
+    @pytest.mark.parametrize("values", [
+        [], [1.0], [0.0, 1.0, 2.0], [0.0, 0.0], [1.0, 0.0], [-0.0, 0.0], [0.0, -0.0],
+        [-math.inf, 0.0, math.inf], [0.0, math.inf, math.inf], [-math.inf, -math.inf],
+        [0.0, math.nan], [math.nan, 1.0], [math.nan], [0.0, 1.0, math.nan, 2.0],
+        [5e-324, 1e-323], [1.0, np.nextafter(1.0, 2.0)], [1e308, math.inf]])
+    def test_matches_diff_expression(self, values):
+        a = np.asarray(values, dtype=float)
+        with np.errstate(invalid="ignore"):
+            expected = bool(np.all(np.diff(a) > 0.0))
+        assert _strictly_increasing(a) is expected
