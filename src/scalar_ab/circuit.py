@@ -18,7 +18,7 @@ default) in scipy's private extension ``scipy/integrate/_dop``, loaded from
 its file on first use so that importing this module imports no scipy package;
 samples are reached by stepping to each output time.  A fixed-step classic
 RK4 is kept for bit-reproducibility studies.  Potential extrema are refined
-by a safeguarded Newton-bisection on the closed-form dU/dphi.
+by bisection on the closed-form dU/dphi.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import importlib.machinery
 import importlib.util
 import math
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -289,6 +290,17 @@ def _no_solout(x, y):
     return 1
 
 
+def _scipy_version(root: str) -> str:
+    """The version recorded in ``scipy/version.py`` under ``root``, read as
+    text so that no scipy code runs; "unknown" if it cannot be read."""
+    try:
+        with open(os.path.join(root, "version.py"), encoding="utf-8") as fh:
+            found = re.search(r"^version\s*=\s*['\"]([^'\"]+)['\"]", fh.read(), re.M)
+    except OSError:
+        found = None
+    return found.group(1) if found else "unknown"
+
+
 @functools.cache
 def _dop_codes():
     """scipy's compiled DOP853/DOPRI5 extension, loaded from its file.
@@ -296,12 +308,24 @@ def _dop_codes():
     ``find_spec`` locates scipy without running its ``__init__``, and the
     extension imports numpy only, so this costs ~1 ms where importing scipy's
     integrate package costs ~0.9 s.  The price is reliance on a private
-    module; a missing file raises ImportError naming the scipy version and
-    the directory searched.
+    module and its call signature, which is that of scipy 1.17 (earlier
+    releases built ``_dop`` with f2py: nsteps in iwork, four return values).
+    An older scipy or a missing file raises ImportError naming the scipy
+    version and the directory searched.
     """
     spec = importlib.util.find_spec("scipy")
-    folder = os.path.join(spec.submodule_search_locations[0], "integrate") if spec else None
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES if folder else ():
+    if spec is None:
+        raise ImportError("integrate_trajectory needs scipy >= 1.17; no scipy found")
+    root = spec.submodule_search_locations[0]
+    folder = os.path.join(root, "integrate")
+    version = _scipy_version(root)
+    release = re.match(r"(\d+)\.(\d+)", version)
+    if release is None or tuple(map(int, release.groups())) < (1, 17):
+        raise ImportError(
+            f"integrate_trajectory needs scipy >= 1.17, whose compiled DOP853/DOPRI5 "
+            f"extension _dop in {folder} has the call signature used here; "
+            f"found scipy {version}")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
         path = os.path.join(folder, "_dop" + suffix)
         if os.path.isfile(path):
             loader = importlib.machinery.ExtensionFileLoader("_dop", path)
@@ -309,14 +333,9 @@ def _dop_codes():
                 importlib.util.spec_from_file_location(loader.name, path, loader=loader))
             loader.exec_module(module)
             return module
-    from importlib.metadata import PackageNotFoundError, version
-    try:
-        found = f"scipy {version('scipy')}"
-    except PackageNotFoundError:
-        found = "no scipy"
     raise ImportError(
         f"integrate_trajectory needs scipy's compiled DOP853/DOPRI5 extension "
-        f"_dop in {folder}; found {found}")
+        f"_dop in {folder}; found scipy {version}")
 
 
 def integrate_trajectory(eom: EomParams, phi0: float, phidot0: float,
@@ -458,29 +477,17 @@ def _potential_factory(params: CircuitParams):
     return u, du, d2u
 
 
-def _bracketed_root(f, df, a: float, b: float) -> float:
-    """Root of f between a and b, where f changes sign: a Newton step is
-    taken when it lands inside the shrinking bracket and is under half the
-    step before last, else the bracket is bisected.  Stops once a step is
-    under (xtol + rtol*|x|)/2 with xtol 1e-14 and rtol 8.9e-16."""
+def _bracketed_root(f, a: float, b: float) -> float:
+    """Root of f between a and b, where f changes sign, by bisection; stops
+    once the bracket is under xtol + rtol*|x| with brentq's xtol 1e-14 and
+    rtol 8.9e-16 (about 40 halvings of a grid-step bracket)."""
     neg, pos = (float(a), float(b)) if f(a) < 0.0 else (float(b), float(a))
-    x = 0.5 * (neg + pos)
-    last = abs(pos - neg)
     while True:
+        x = 0.5 * (neg + pos)
         fx = float(f(x))
-        if fx == 0.0:
+        if fx == 0.0 or abs(pos - neg) < 1e-14 + 8.9e-16 * abs(x):
             return x
-        if fx < 0.0:
-            neg = x
-        else:
-            pos = x
-        dx = fx / float(df(x))
-        if not (abs(dx) < 0.5 * last and min(neg, pos) < x - dx < max(neg, pos)):
-            dx = x - 0.5 * (neg + pos)  # bisect; also taken when df(x) is 0
-        last = abs(dx)
-        x -= dx
-        if last < 0.5 * (1e-14 + 8.9e-16 * abs(x)):
-            return x
+        neg, pos = (x, pos) if fx < 0.0 else (neg, x)
 
 
 def potential_landscape(params: CircuitParams, phi_range: tuple[float, float],
@@ -493,7 +500,7 @@ def potential_landscape(params: CircuitParams, phi_range: tuple[float, float],
     lo, hi = float(phi_range[0]), float(phi_range[1])
     _require(lo < hi, "potential_landscape phi_range must be increasing")
     _require(n_points >= 3, "potential_landscape needs n_points >= 3")
-    u, du, d2u = _potential_factory(params)
+    u, du, _ = _potential_factory(params)
     grid = np.linspace(lo, hi, int(n_points))
     values = u(grid)
 
@@ -502,7 +509,7 @@ def potential_landscape(params: CircuitParams, phi_range: tuple[float, float],
     for idx in interior:
         a, b = grid[idx - 1], grid[idx + 1]
         if du(a) < 0.0 < du(b):
-            phi_star = _bracketed_root(du, d2u, a, b)
+            phi_star = _bracketed_root(du, a, b)
         else:
             phi_star = float(grid[idx])  # flat-to-grid resolution; keep grid point
         minima.append((float(phi_star), float(u(phi_star))))
@@ -516,7 +523,7 @@ def potential_landscape(params: CircuitParams, phi_range: tuple[float, float],
         a = candidates[idx - 1] if idx > 0 else p_left
         b = candidates[idx + 1] if len(candidates) and idx < len(candidates) - 1 else p_right
         if du(a) > 0.0 > du(b):
-            top = _bracketed_root(du, d2u, a, b)
+            top = _bracketed_root(du, a, b)
         else:
             top = float(candidates[idx]) if len(candidates) else 0.5 * (p_left + p_right)
         barriers.append(float(u(top)) - max(u_left, u_right))

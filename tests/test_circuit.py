@@ -4,6 +4,7 @@ mapping, and flux-quantum bookkeeping."""
 import csv
 import importlib.machinery
 import math
+import os
 import warnings
 
 import numpy as np
@@ -321,6 +322,21 @@ class TestCompiledCodes:
         traj = integrate_trajectory(eom, 0.1, 0.0, (0.0, 1e-9), n_samples=3)
         assert np.all(np.isfinite(traj.delta_phi))
 
+    @pytest.mark.parametrize("version", ["1.16.2", "1.9.3", "unknown"])
+    def test_scipy_before_1_17_is_rejected(self, monkeypatch, version):
+        # Before 1.17 _dop was an f2py module with another call signature:
+        # reject it by version rather than call it.
+        eom = build_eom(fig3_params(), None)
+        with monkeypatch.context() as patch:
+            patch.setattr(circuit, "_scipy_version", lambda root: version)
+            circuit._dop_codes.cache_clear()
+            with pytest.raises(ImportError, match=rf"scipy >= 1\.17.*found scipy {version}$"):
+                integrate_trajectory(eom, 0.1, 0.0, (0.0, 1e-9), n_samples=3)
+        circuit._dop_codes.cache_clear()
+        assert circuit._scipy_version(os.path.dirname(scipy.__file__)) == scipy.__version__
+        traj = integrate_trajectory(eom, 0.1, 0.0, (0.0, 1e-9), n_samples=3)
+        assert np.all(np.isfinite(traj.delta_phi))
+
 
 class TestPotentialLandscape:
     def test_pure_parabola_has_single_minimum_at_zero(self):
@@ -365,12 +381,12 @@ class TestPotentialLandscape:
 
     @pytest.mark.parametrize("ratio", [8.0, 25.0, 60.0])
     def test_extrema_match_brentq(self, ratio):
-        # Newton-bisection against scipy's Brent solver at the tolerances
+        # Bisection against scipy's Brent solver at the tolerances
         # the landscape used with it (xtol 1e-14, rtol 8.9e-16).
         params = fig3_params(inductance=0.0, e_inductive=1e9 * H,
                              e_josephson=ratio * 1e9 * H)
         landscape = potential_landscape(params, (-4 * math.pi, 4 * math.pi), 4001)
-        u, du, d2u = circuit._potential_factory(params)
+        u, du, _ = circuit._potential_factory(params)
         step = landscape.phi_grid[1] - landscape.phi_grid[0]
         assert len(landscape.barrier_heights) >= 1
         for phi, energy in landscape.minima:
@@ -383,7 +399,7 @@ class TestPotentialLandscape:
             inside = grid[(grid > left) & (grid < right)]
             k = int(np.argmax(u(inside)))
             a, b = inside[k - 1], inside[k + 1]
-            top = circuit._bracketed_root(du, d2u, a, b)
+            top = circuit._bracketed_root(du, a, b)
             expected = brentq(du, a, b, xtol=1e-14, rtol=8.9e-16)
             assert abs(top - expected) <= 5e-14
             assert height == pytest.approx(float(u(expected)) - max(u_left, u_right),

@@ -353,6 +353,7 @@ class TestStartupImports:
         # The circuit module loads scipy's compiled DOP codes from their file,
         # so no scipy package __init__ (~0.9 s of import) runs.
         code = """
+import json
 import sys
 from scalar_ab.cli import main
 
@@ -365,13 +366,21 @@ for target in ("fig4", "earth-shell", "supernova-shell"):
     assert scipy_modules() == [], (target, scipy_modules())
 assert main(["fig3", "--out", "fig3.csv"]) == 0
 assert "scipy.integrate" not in sys.modules, scipy_modules()
+# Two more fig3 runs in the same process, through --sweep.
+for name, amplitude in (("a", 1.0), ("b", 2.0)):
+    json.dump({"experiment": "CircuitDynamics",
+               "parameters": {"preset": "fig3", "drive_amplitude_uV": amplitude},
+               "output": {"path": name + ".csv"}}, open(name + ".json", "w"))
+assert main(["--sweep", "a.json", "b.json"]) == 0
+assert "scipy.integrate" not in sys.modules, scipy_modules()
 """
         src = str(Path(scalar_ab.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
         proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert (tmp_path / "fig3.csv").stat().st_size > 0
+        for name in ("fig3", "a", "b"):
+            assert (tmp_path / f"{name}.csv").stat().st_size > 0
 
 
 class TestDeterminism:
