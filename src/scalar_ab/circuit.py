@@ -479,8 +479,9 @@ def _potential_factory(params: CircuitParams):
 
 def _bracketed_root(f, a: float, b: float) -> float:
     """Root of f between a and b, where f changes sign, by bisection; stops
-    once the bracket is under xtol + rtol*|x| with brentq's xtol 1e-14 and
-    rtol 8.9e-16 (about 40 halvings of a grid-step bracket)."""
+    once the bracket is under xtol + rtol*|x|, with the xtol 1e-14 and rtol
+    8.9e-16 the landscape used with scipy's Brent solver (about 40 halvings
+    of a grid-step bracket)."""
     neg, pos = (float(a), float(b)) if f(a) < 0.0 else (float(b), float(a))
     while True:
         x = 0.5 * (neg + pos)
