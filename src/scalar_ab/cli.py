@@ -53,7 +53,7 @@ class KeySpec:
     default: Any = None
     choices: tuple[str, ...] | None = None
     positive: bool = False
-    minimum: int | None = None  # least allowed value of an "int" key
+    minimum: float | None = None  # least allowed value of a "number" or "int" key
 
 
 EXPERIMENTS = (
@@ -70,7 +70,8 @@ _CIRCUIT_ELEMENT_KEYS = {
     "c_prime_fF": KeySpec("number", "island capacitance, femtofarads", required=True, positive=True),
     "c_gate_fF": KeySpec("number", "gate capacitance, femtofarads", required=True, positive=True),
     "c_sphere_fF": KeySpec("number", "sphere self-capacitance, femtofarads", required=True, positive=True),
-    "c_josephson_fF": KeySpec("number", "junction capacitance, femtofarads", default=0.0),
+    "c_josephson_fF": KeySpec("number", "junction capacitance, femtofarads", default=0.0,
+                              minimum=0.0),
     "inductance_nH": KeySpec("number", "island inductance, nanohenries", required=True, positive=True),
     "e_josephson_GHz": KeySpec("number", "junction energy E_J/h, gigahertz", required=True),
 }
@@ -347,10 +348,6 @@ def _validate_parameters(experiment: str, raw: Mapping[str, Any]) -> dict[str, A
                 raise ConfigError(
                     f"key '{key}' in {experiment} parameters must be an integer "
                     f"({spec.unit}); got {value!r}")
-            if spec.minimum is not None and value < spec.minimum:
-                raise ConfigError(
-                    f"key '{key}' in {experiment} parameters must be at least "
-                    f"{spec.minimum} ({spec.unit}); got {value}")
             out[key] = int(value)
         elif spec.kind == "string":
             if not isinstance(value, str):
@@ -373,6 +370,10 @@ def _validate_parameters(experiment: str, raw: Mapping[str, Any]) -> dict[str, A
             out[key] = _validate_species(key, value, experiment)
         else:  # pragma: no cover - schema definition error
             raise AssertionError(f"unhandled KeySpec.kind {spec.kind!r}")
+        if spec.minimum is not None and out[key] < spec.minimum:
+            raise ConfigError(
+                f"key '{key}' in {experiment} parameters must be at least "
+                f"{spec.minimum} ({spec.unit}); got {out[key]}")
     return out
 
 
@@ -480,6 +481,11 @@ def parse_config(text: str) -> ExperimentConfig:
             and "fixed_step_ns" not in params):
         raise ConfigError("method 'rk4' needs fixed_step_ns (fixed step for rk4, "
                           "nanoseconds)")
+    if (experiment == "PotentialLandscape"
+            and not params["phi_max_rad"] > params["phi_min_rad"]):
+        raise ConfigError(
+            f"phi_max_rad ({params['phi_max_rad']:g}) must exceed "
+            f"phi_min_rad ({params['phi_min_rad']:g})")
     if (experiment == "GravRedshift" and params["mode"] == "sidebands"
             and abs(params["m1_kg"]) > params["m0_kg"]):
         raise ConfigError(

@@ -43,8 +43,8 @@ def _strictly_increasing(a: np.ndarray) -> bool:
     return bool((a[1:] > a[:-1]).all())
 
 
-def _readonly(values: Iterable[float]) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+def _readonly(values: Iterable[float], dtype: Any = float) -> np.ndarray:
+    arr = np.asarray(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
 
@@ -360,6 +360,119 @@ class Trajectory:
                    meta=dict(data.get("meta", {})))
 
 
+class _Rows:
+    """Rows keyed by a read-only int64 array ``n``, with read-only value
+    columns: the storage shared by the spectrum types.
+
+    :meth:`find` gives the first row keyed n in storage order, or -1, as a
+    scan would: by offset arithmetic when the keys step by one (every
+    producer stores n = -N..N), else by ``np.searchsorted`` on a stable
+    argsort.  Two stores of one type are equal when their arrays are.
+    """
+
+    __slots__ = ("n", "columns", "_lo", "_order", "_keys")
+
+    def __init__(self, n: Any, *columns: np.ndarray) -> None:
+        self.n = _readonly(n, np.int64)
+        self.columns = tuple(_readonly(c, c.dtype) for c in columns)
+        contiguous = len(self.n) and (self.n[1:] - self.n[:-1] == 1).all()
+        self._lo = int(self.n[0]) if contiguous else None
+        if self._lo is None:
+            self._order = np.argsort(self.n, kind="stable")
+            self._keys = self.n[self._order]
+
+    def __len__(self) -> int:
+        return len(self.n)
+
+    def rows(self, index: Any = slice(None)) -> Iterable[tuple]:
+        """(n, *columns) of the rows picked by ``index``, as Python scalars."""
+        return zip(self.n[index].tolist(), *(c[index].tolist() for c in self.columns))
+
+    def find(self, n: Any) -> int:
+        try:
+            k = int(n)
+        except (TypeError, ValueError, OverflowError):
+            return -1
+        if k != n:
+            return -1
+        if self._lo is not None:
+            i = k - self._lo
+            return i if 0 <= i < len(self.n) else -1
+        j = int(np.searchsorted(self._keys, k))
+        return int(self._order[j]) if j < len(self._keys) and self._keys[j] == k else -1
+
+    def __eq__(self, other: Any) -> bool:
+        if type(other) is type(self):
+            return all(np.array_equal(x, y) for x, y in
+                       zip((self.n, *self.columns), (other.n, *other.columns)))
+        return super().__eq__(other)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self.rows())!r})"
+
+
+class _Coefficients(_Rows, Mapping):
+    """Read-only ``Mapping[int, complex]`` n -> c_n over a complex128 column,
+    keys ascending."""
+
+    __slots__ = ()
+
+    def __init__(self, n: Any, c: Any) -> None:
+        super().__init__(n, np.asarray(c, dtype=complex))
+
+    @classmethod
+    def of(cls, coefficients: Mapping[int, complex]) -> "_Coefficients":
+        if isinstance(coefficients, cls):
+            return coefficients
+        count = len(coefficients)
+        n = np.fromiter((int(k) for k in coefficients), np.int64, count)
+        c = np.fromiter(coefficients.values(), complex, count)
+        order = np.argsort(n, kind="stable")
+        return cls(n[order], c[order])
+
+    def __getitem__(self, n: int) -> complex:
+        i = self.find(n)
+        if i < 0:
+            raise KeyError(n)
+        return complex(self.columns[0][i])
+
+    def __iter__(self):
+        return iter(self.n.tolist())
+
+    def to_list(self) -> list[dict[str, Any]]:
+        c = self.columns[0]
+        return [{"n": n, "re": re, "im": im}
+                for n, re, im in zip(self.n.tolist(), c.real.tolist(), c.imag.tolist())]
+
+
+class _Lines(_Rows, Sequence):
+    """Read-only sequence of (n, frequency, amplitude) lines over int64 and
+    float64 columns, in the order given."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, lines: Iterable[tuple[int, float, float]]) -> "_Lines":
+        if isinstance(lines, cls):
+            return lines
+        n, f, a = tuple(zip(*lines)) or ((), (), ())
+        return cls([int(k) for k in n], np.array(f, dtype=float), np.array(a, dtype=float))
+
+    def __getitem__(self, i: int) -> tuple[int, float, float]:
+        f, a = self.columns
+        return (int(self.n[i]), float(f[i]), float(a[i]))
+
+    def __iter__(self):
+        return iter(self.rows())
+
+
+def _check_norm(owner: str, term: str, values: np.ndarray, tol: float, bound: str) -> None:
+    total = float(np.sum(np.abs(values) ** 2))
+    _require(abs(total - 1.0) <= tol,
+             f"{owner} normalization sum {term} = {total!r} "
+             f"differs from 1 by more than {bound}")
+
+
 @dataclass(frozen=True)
 class SidebandSpectrum:
     """Quasi-energy ladder with a complex amplitude per harmonic index n.
@@ -367,6 +480,8 @@ class SidebandSpectrum:
     The energy of entry n is ``base_energy + n*hbar*omega`` and is always
     recomputed (see :meth:`energy_of`), never stored.  Construction enforces
     the wavefunction normalization sum |c_n|^2 = 1 within ``norm_tol``.
+    ``coefficients`` may be given as any mapping and is stored as a
+    read-only mapping over arrays, keys ascending.
     """
 
     base_energy: float                     # J
@@ -376,16 +491,14 @@ class SidebandSpectrum:
     norm_tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        coeffs = {int(n): complex(c) for n, c in self.coefficients.items()}
+        coeffs = _Coefficients.of(self.coefficients)
         object.__setattr__(self, "coefficients", coeffs)
         _require(self.omega > 0.0, "SidebandSpectrum.omega must be strictly positive")
         _require(self.truncation_n >= 0, "SidebandSpectrum.truncation_n must be >= 0")
-        _require(all(abs(n) <= self.truncation_n for n in coeffs),
+        _require(bool((np.abs(coeffs.n) <= self.truncation_n).all()),
                  "SidebandSpectrum coefficients must lie within |n| <= truncation_n")
-        total = sum(abs(c) ** 2 for c in coeffs.values())
-        _require(abs(total - 1.0) <= self.norm_tol,
-                 f"SidebandSpectrum normalization sum |c_n|^2 = {total!r} "
-                 f"differs from 1 by more than norm_tol={self.norm_tol:g}")
+        _check_norm("SidebandSpectrum", "|c_n|^2", coeffs.columns[0], self.norm_tol,
+                    f"norm_tol={self.norm_tol:g}")
 
     def energy_of(self, n: int) -> float:
         """Quasi-energy base_energy + n*hbar*omega of harmonic n, in J."""
@@ -399,10 +512,7 @@ class SidebandSpectrum:
             "base_energy_J": self.base_energy,
             "omega_rad_per_s": self.omega,
             "truncation_n": self.truncation_n,
-            "coefficients": [
-                {"n": n, "re": self.coefficients[n].real, "im": self.coefficients[n].imag}
-                for n in sorted(self.coefficients)
-            ],
+            "coefficients": self.coefficients.to_list(),
         }
 
     @classmethod

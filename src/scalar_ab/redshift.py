@@ -21,8 +21,8 @@ import numpy as np
 
 from .ab_phase import PhaseHistory
 from .core import (C_LIGHT, G_NEWTON, HBAR, PLANCK_H, MassShell, TwoLevelAtom,
-                   _require)
-from .spectral import _bessel_row, required_truncation
+                   _check_norm, _Lines, _require)
+from .spectral import _bessel_row, _check_bessel_arg, required_truncation
 
 __all__ = [
     "TransitionSpectrum",
@@ -122,47 +122,52 @@ class TransitionSpectrum:
 
     ``sideband_lines`` holds (n, frequency in Hz, relative amplitude); line n
     sits at carrier + n*omega/(2*pi) with amplitude |J_n(delta_alpha)|, so
-    the squared amplitudes sum to one.
+    the squared amplitudes sum to one.  The lines may be given as any
+    sequence of tuples and are stored as a read-only sequence over arrays,
+    in the given order.
     """
 
     carrier_frequency: float   # Hz, DC-redshifted unsplit line
     omega: float               # rad/s, shell modulation frequency
     delta_alpha: float
-    sideband_lines: tuple[tuple[int, float, float], ...]
+    sideband_lines: Sequence[tuple[int, float, float]]
 
     def __post_init__(self) -> None:
-        lines = tuple((int(n), float(f), float(a)) for n, f, a in self.sideband_lines)
+        lines = _Lines.of(self.sideband_lines)
         object.__setattr__(self, "sideband_lines", lines)
         _require(self.omega > 0.0, "TransitionSpectrum.omega must be positive")
         spacing = self.omega / (2.0 * math.pi)
-        for n, f, amp in lines:
-            _require(amp >= 0.0, "TransitionSpectrum amplitudes must be non-negative")
-            expected = self.carrier_frequency + n * spacing
-            _require(abs(f - expected) <= 1e-9 * max(abs(expected), spacing),
-                     "TransitionSpectrum line frequencies must follow "
-                     "carrier + n*omega/2pi")
-        total = sum(a * a for _, _, a in lines)
-        _require(abs(total - 1.0) <= 1e-9,
-                 f"TransitionSpectrum normalization sum amp^2 = {total!r} "
-                 "differs from 1 by more than 1e-9")
+        freqs, amps = lines.columns
+        expected = self.carrier_frequency + lines.n * spacing
+        bad_amp = ~(amps >= 0.0)
+        bad = bad_amp | ~(np.abs(freqs - expected)
+                          <= 1e-9 * np.maximum(np.abs(expected), spacing))
+        if bad.any():
+            # report the first bad line, amplitude before frequency
+            _require(not bad_amp[np.argmax(bad)],
+                     "TransitionSpectrum amplitudes must be non-negative")
+            _require(False, "TransitionSpectrum line frequencies must follow "
+                            "carrier + n*omega/2pi")
+        _check_norm("TransitionSpectrum", "amp^2", amps, 1e-9, "1e-9")
 
     def amplitude(self, n: int) -> float:
-        for m, _, a in self.sideband_lines:
-            if m == n:
-                return a
-        return 0.0
+        i = self.sideband_lines.find(n)
+        return float(self.sideband_lines.columns[1][i]) if i >= 0 else 0.0
 
     def lines_above(self, threshold: float) -> list[tuple[int, float, float]]:
-        return [line for line in self.sideband_lines if line[2] > threshold]
+        lines = self.sideband_lines
+        return list(lines.rows(lines.columns[1] > threshold))
 
     def to_dict(self) -> dict:
+        lines = self.sideband_lines
+        freqs, amps = lines.columns
         return {
             "carrier_frequency_Hz": self.carrier_frequency,
             "omega_rad_per_s": self.omega,
             "delta_alpha": self.delta_alpha,
             "sideband_lines": [
                 {"n": n, "frequency_Hz": f, "relative_amplitude": a}
-                for n, f, a in sorted(self.sideband_lines)
+                for n, f, a in lines.rows(np.lexsort((amps, freqs, lines.n)))
             ],
         }
 
@@ -174,9 +179,10 @@ def transition_sideband_spectrum(atom: TwoLevelAtom, shell: MassShell,
     The carrier is the transition frequency redshifted by the DC potential
     -G*M0/r0; sidebands at carrier + n*omega/2pi carry relative amplitudes
     |J_n(delta_alpha)|.  For large delta_alpha the dominant sidebands sit
-    near n = +-delta_alpha.
+    near n = +-delta_alpha.  |delta_alpha| >= 1e6 is rejected with the cap.
     """
     indices = modulation_indices(atom, shell)
+    _check_bessel_arg("transition_sideband_spectrum", "delta_alpha", indices.delta_alpha)
     needed = required_truncation(indices.delta_alpha)
     if truncation_n < needed:
         raise ValueError(
@@ -187,11 +193,11 @@ def transition_sideband_spectrum(atom: TwoLevelAtom, shell: MassShell,
     carrier = redshifted_frequency(local_frequency, dc_potential)
     spacing = shell.omega / (2.0 * math.pi)
     row = _bessel_row(abs(indices.delta_alpha), truncation_n)
-    lines = tuple((n, carrier + n * spacing, float(abs(row[abs(n)])))
-                  for n in range(-truncation_n, truncation_n + 1))
+    ns = np.arange(-truncation_n, truncation_n + 1)
     return TransitionSpectrum(carrier_frequency=carrier, omega=shell.omega,
                               delta_alpha=indices.delta_alpha,
-                              sideband_lines=lines)
+                              sideband_lines=_Lines(ns, carrier + ns * spacing,
+                                                    np.abs(row[np.abs(ns)])))
 
 
 def ion_cancellation_check(common_phase: PhaseHistory, base_rate: float) -> float:

@@ -21,7 +21,7 @@ from typing import Mapping
 import numpy as np
 
 from .ab_phase import PhaseHistory
-from .core import HBAR, DriveWaveform, SidebandSpectrum, _require
+from .core import HBAR, DriveWaveform, SidebandSpectrum, _check_norm, _Coefficients, _require
 
 __all__ = [
     "FloquetDecomposition",
@@ -73,7 +73,23 @@ def _bessel_row(alpha: float, n_max: int) -> np.ndarray:
     f_above = 0.0      # f_{k+1}
     f_k = 1e-300       # seed value; scaled out by the normalization
     norm = 0.0
-    for k in range(start, 0, -1):
+    # Above n_max nothing is stored.  Each pass takes the steps k (even) and
+    # k - 1, so the norm term f_{k-2} needs no parity test; mid-pass the two
+    # names swap roles (f_above holds f_{k-1}, f_k holds f_k).
+    k_store = n_max + 2 - n_max % 2
+    for k in range(start, k_store, -2):
+        f_above = (2.0 * k / alpha) * f_k - f_above
+        if abs(f_above) > _RESCALE_THRESHOLD:
+            f_above *= 1e-250
+            f_k *= 1e-250
+            norm *= 1e-250
+        f_k = (2.0 * (k - 1) / alpha) * f_above - f_k
+        if abs(f_k) > _RESCALE_THRESHOLD:
+            f_k *= 1e-250
+            f_above *= 1e-250
+            norm *= 1e-250
+        norm += 2.0 * f_k
+    for k in range(k_store, 0, -1):
         f_below = (2.0 * k / alpha) * f_k - f_above
         if abs(f_below) > _RESCALE_THRESHOLD:
             f_below *= 1e-250
@@ -89,14 +105,19 @@ def _bessel_row(alpha: float, n_max: int) -> np.ndarray:
     return row / norm
 
 
+def _check_bessel_arg(op: str, name: str, alpha: float) -> None:
+    """Reject |alpha| >= BESSEL_MAX_ARG (and NaN) before any row is allocated."""
+    if not abs(alpha) < BESSEL_MAX_ARG:
+        raise ValueError(f"{op}: |{name}| must be < {BESSEL_MAX_ARG:g}, got {alpha!r}")
+
+
 def bessel_j(n: int, alpha: float) -> float:
     """Bessel function J_n(alpha) for integer n, |alpha| < 1e6.
 
     Satisfies J_{-n}(alpha) = (-1)^n J_n(alpha) and
     J_n(-alpha) = (-1)^n J_n(alpha) exactly by construction.
     """
-    if not abs(alpha) < BESSEL_MAX_ARG:
-        raise ValueError(f"bessel_j: |alpha| must be < {BESSEL_MAX_ARG:g}, got {alpha!r}")
+    _check_bessel_arg("bessel_j", "alpha", alpha)
     n = int(n)
     sign = 1.0
     if n < 0:
@@ -137,25 +158,24 @@ def jacobi_anger_coeffs(alpha: float, truncation_n: int, *,
 
     ``truncation_n`` must be at least :func:`required_truncation` (dominant
     sidebands plus a normalization-safe margin); too-small truncations are
-    rejected with the required minimum.
+    rejected with the required minimum, and |alpha| >= 1e6 with the cap.
     """
+    _check_bessel_arg("jacobi_anger_coeffs", "alpha", alpha)
     needed = required_truncation(alpha)
     if truncation_n < needed:
         raise ValueError(
             f"jacobi_anger_coeffs: truncation_n={truncation_n} too small for "
             f"alpha={alpha:g}; need >= {needed}")
     row = _bessel_row(abs(alpha), truncation_n)
-    sign_neg_alpha = -1.0 if alpha < 0.0 else 1.0
-    coeffs: dict[int, complex] = {}
-    for n in range(-truncation_n, truncation_n + 1):
-        value = row[abs(n)]
-        if n < 0 and n % 2:
-            value = -value
-        if sign_neg_alpha < 0.0 and n % 2:
-            value = -value
-        coeffs[n] = complex(value, 0.0)
+    ns = np.arange(-truncation_n, truncation_n + 1)
+    values = row[np.abs(ns)]
+    odd = ns % 2 == 1
+    np.negative(values, out=values, where=odd & (ns < 0))   # J_{-n} = (-1)^n J_n
+    if alpha < 0.0:
+        np.negative(values, out=values, where=odd)          # J_n(-a) = (-1)^n J_n(a)
     return SidebandSpectrum(base_energy=base_energy, omega=omega,
-                            coefficients=coeffs, truncation_n=truncation_n)
+                            coefficients=_Coefficients(ns, values.astype(complex)),
+                            truncation_n=truncation_n)
 
 
 def quasi_energy_ladder(base_energy: float, omega: float,
@@ -186,13 +206,10 @@ class FloquetDecomposition:
     residual_tol: float = 1e-8
 
     def __post_init__(self) -> None:
-        coeffs = {int(n): complex(c) for n, c in self.coefficients.items()}
+        coeffs = _Coefficients.of(self.coefficients)
         object.__setattr__(self, "coefficients", coeffs)
         _require(self.omega > 0.0, "FloquetDecomposition.omega must be positive")
-        total = sum(abs(c) ** 2 for c in coeffs.values())
-        _require(abs(total - 1.0) <= 1e-9,
-                 f"FloquetDecomposition normalization sum |c_n|^2 = {total!r} "
-                 "differs from 1 by more than 1e-9")
+        _check_norm("FloquetDecomposition", "|c_n|^2", coeffs.columns[0], 1e-9, "1e-9")
         _require(self.residual <= self.residual_tol,
                  f"FloquetDecomposition residual {self.residual:.3g} exceeds "
                  f"residual_tol {self.residual_tol:.3g}")
@@ -205,7 +222,7 @@ class FloquetDecomposition:
 
     def as_sideband_spectrum(self) -> SidebandSpectrum:
         return SidebandSpectrum(base_energy=self.quasi_energy, omega=self.omega,
-                                coefficients=dict(self.coefficients),
+                                coefficients=self.coefficients,
                                 truncation_n=self.truncation_n)
 
     def to_dict(self) -> dict:
@@ -214,10 +231,7 @@ class FloquetDecomposition:
             "omega_rad_per_s": self.omega,
             "truncation_n": self.truncation_n,
             "residual": self.residual,
-            "coefficients": [
-                {"n": n, "re": self.coefficients[n].real, "im": self.coefficients[n].imag}
-                for n in sorted(self.coefficients)
-            ],
+            "coefficients": self.coefficients.to_list(),
         }
 
 
@@ -305,10 +319,9 @@ def floquet_decompose(potential: DriveWaveform, base_energy: float,
                 f"n_max_cap={n_max_cap} (non-smooth waveform); relax residual_tol")
         n_try *= 2
 
-    coeff_map = {int(n): complex(c) for n, c in zip(ns, coeffs)}
     return FloquetDecomposition(quasi_energy=base_energy + mean_u,
                                 omega=potential.omega,
-                                coefficients=coeff_map,
+                                coefficients=_Coefficients(ns, coeffs),
                                 truncation_n=n_try,
                                 residual=residual,
                                 residual_tol=residual_tol)
@@ -357,7 +370,7 @@ def fm_spectrum_via_fft(phase_history: PhaseHistory, omega: float,
             f"(got {m / p:.1f}, need {16 * truncation_n})")
     u = np.exp(-1j * phase_history.phase[:m])
     spectrum = np.fft.fft(u) / m
-    coeffs = {n: complex(spectrum[(-n * p) % m])
-              for n in range(-truncation_n, truncation_n + 1)}
+    ns = np.arange(-truncation_n, truncation_n + 1)
     return SidebandSpectrum(base_energy=base_energy, omega=omega,
-                            coefficients=coeffs, truncation_n=truncation_n)
+                            coefficients=_Coefficients(ns, spectrum[(-ns * p) % m]),
+                            truncation_n=truncation_n)

@@ -17,6 +17,8 @@ from scalar_ab.cli import (EXIT_CONFIG_ERROR, EXIT_NUMERIC_FAILURE, EXIT_OK,
                            PRESETS, SCHEMAS, ConfigError, main, parse_config,
                            run_experiment)
 
+GOLDEN = Path(__file__).parent / "golden"
+
 
 def circuit_config(out_path, **overrides):
     params = {"preset": "fig3"}
@@ -287,6 +289,8 @@ class TestMainAndExitCodes:
         ("fig3", {"method": "rk4", "fixed_step_ns": -0.001}, "fixed_step_ns"),
         ("fig4", {"n_points": 2}, "n_points"),
         ("earth-shell", {"m1_kg": 1e30}, "m1_kg"),
+        ("fig4", {"phi_min_rad": 5, "phi_max_rad": -5}, "phi_max_rad"),
+        ("fig3", {"c_josephson_fF": -100}, "c_josephson_fF"),
     ])
     def test_bad_value_is_config_error(self, tmp_path, capsys, target, overrides, key):
         experiment = PRESETS[target]["experiment"]
@@ -300,6 +304,29 @@ class TestMainAndExitCodes:
         assert len(err.strip().splitlines()) == 1
         assert key in err and "numeric failure" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("experiment, parameters, name", [
+        ("ElectricSidebands", {"drive_amplitude_uV": 1e12, "drive_frequency_MHz": 1.0},
+         "alpha"),
+        ("ElectricSidebands", {"drive_amplitude_uV": 1e20, "drive_frequency_MHz": 1.0},
+         "alpha"),
+        ("GravRedshift", {"preset": "earth-shell", "m0_kg": 1e30, "m1_kg": 1e29,
+                          "radius_m": 1e4, "modulation_frequency_Hz": 1e3},
+         "delta_alpha"),
+    ])
+    def test_bessel_argument_cap_is_one_line_numeric_failure(self, tmp_path, capsys,
+                                                             experiment, parameters, name):
+        # Before the cap these ended in a numpy allocation traceback or in
+        # "Maximum allowed dimension exceeded".
+        doc = tmp_path / "conf.json"
+        doc.write_text(json.dumps({"experiment": experiment, "parameters": parameters,
+                                   "output": {"path": str(tmp_path / "out.json")}}))
+        assert main([experiment, "--config", str(doc)]) == EXIT_NUMERIC_FAILURE
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("numeric failure:")
+        assert f"|{name}| must be < 1e+06" in err
+        assert not (tmp_path / "out.json").exists()
 
     def test_sweep_runs_all_configs(self, tmp_path, capsys):
         paths = []
@@ -398,6 +425,18 @@ class TestDeterminism:
             doc["output"] = {"path": str(out), "format": "json"}
             run_experiment(parse_config(json.dumps(doc)))
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    @pytest.mark.parametrize("name", sorted(
+        p.name[:-len(".config.json")] for p in GOLDEN.glob("*.config.json")))
+    def test_spectrum_json_matches_golden(self, tmp_path, capsys, name):
+        # Goldens written by the dict-backed spectra that the array storage
+        # replaced; they hold -0.0 entries whose sign must survive.
+        doc = json.loads((GOLDEN / f"{name}.config.json").read_text())
+        doc["output"] = {"path": str(tmp_path / "out.json")}
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps(doc))
+        assert main(["--config", str(config)]) == EXIT_OK
+        assert (tmp_path / "out.json").read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
 
 
 class TestSchemaSelfConsistency:

@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -167,6 +168,34 @@ class TestSidebandSpectrum:
         again = SidebandSpectrum.from_dict(json.loads(json.dumps(s.to_dict())))
         assert again.coefficients == s.coefficients
         assert again.base_energy == s.base_energy
+
+    def test_coefficients_are_a_read_only_mapping(self):
+        r = 1 / math.sqrt(2.0)
+        plain = {1: complex(0, -r), -1: complex(r, 0)}
+        s = SidebandSpectrum(base_energy=0.0, omega=1.0, coefficients=plain,
+                             truncation_n=3)
+        c = s.coefficients
+        assert isinstance(c, Mapping)
+        assert c == plain and plain == c and dict(c) == plain
+        assert c != {1: complex(0, -r)} and c != {1: complex(0, r), -1: complex(r, 0)}
+        assert list(c) == [-1, 1] and len(c) == 2
+        assert c[1] == plain[1] and type(c[1]) is complex
+        assert 1 in c and 0 not in c and c.get(0) is None
+        with pytest.raises(KeyError):
+            c[0]
+        with pytest.raises(TypeError):
+            c[0] = 1.0
+        assert s.amplitude(0) == 0j and s.amplitude(-1) == complex(r, 0)
+        assert s.amplitude(1.0) == plain[1] and s.amplitude(0.5) == 0j
+
+    def test_spectra_compare_by_value(self):
+        r = 1 / math.sqrt(2.0)
+        kwargs = dict(base_energy=0.0, omega=1.0, truncation_n=1)
+        a = SidebandSpectrum(coefficients={-1: complex(r, 0), 1: complex(0, r)}, **kwargs)
+        b = SidebandSpectrum(coefficients={1: complex(0, r), -1: complex(r, 0)}, **kwargs)
+        c = SidebandSpectrum(coefficients={-1: complex(r, 0), 1: complex(r, 0)}, **kwargs)
+        assert a == b and a.coefficients == b.coefficients
+        assert a != c and a.coefficients != c.coefficients
 
 
 class TestMassShell:

@@ -8,11 +8,11 @@ import pytest
 
 from scalar_ab.ab_phase import PhaseHistory, accumulate_grav_phase
 from scalar_ab.core import CODATA2018, MassShell, TwoLevelAtom
-from scalar_ab.redshift import (exploding_shell_potential,
+from scalar_ab.redshift import (TransitionSpectrum, exploding_shell_potential,
                                 ion_cancellation_check, modulation_indices,
                                 redshifted_frequency, rest_mass_in_potential,
                                 shell_potential, transition_sideband_spectrum)
-from scalar_ab.spectral import fm_spectrum_via_fft
+from scalar_ab.spectral import fm_spectrum_via_fft, required_truncation
 
 HBAR = CODATA2018.hbar
 H = CODATA2018.h
@@ -212,6 +212,65 @@ class TestTransitionSidebandSpectrum:
             spectrum = transition_sideband_spectrum(atom, shell, 40)
             total = sum(a ** 2 for _, _, a in spectrum.sideband_lines)
             assert total == pytest.approx(1.0, abs=1e-9)
+
+
+def scan_amplitude(lines, n):
+    """The linear scan that line lookup replaced: first match, else 0."""
+    for m, _, a in lines:
+        if m == n:
+            return a
+    return 0.0
+
+
+class TestLineStorage:
+    def test_every_lookup_on_a_20181_line_spectrum(self):
+        atom, shell = synthetic_atom_and_shell(1e4)
+        n_max = required_truncation(modulation_indices(atom, shell).delta_alpha)
+        spectrum = transition_sideband_spectrum(atom, shell, n_max)
+        lines = list(spectrum.sideband_lines)
+        assert len(lines) == 2 * n_max + 1 == 20181
+        assert [spectrum.amplitude(n) for n, _, _ in lines] == [a for _, _, a in lines]
+        for n in (-n_max - 1, n_max + 1, 10 ** 30, -10 ** 30, 0.5, math.inf, math.nan):
+            assert spectrum.amplitude(n) == 0.0
+        assert spectrum.amplitude(np.int64(7)) == spectrum.amplitude(7.0) == lines[n_max + 7][2]
+
+    def test_unsorted_lines_look_up_like_the_scan(self):
+        raw = [(2, 102.0, 0.6), (-1, 99.0, 0.0), (0, 100.0, 0.0), (2, 102.0, 0.8),
+               (-3, 97.0, 0.0)]
+        spectrum = TransitionSpectrum(carrier_frequency=100.0, omega=2 * math.pi,
+                                      delta_alpha=1.0, sideband_lines=raw)
+        for n in range(-5, 6):
+            assert spectrum.amplitude(n) == scan_amplitude(raw, n)
+        assert list(spectrum.sideband_lines) == raw and len(spectrum.sideband_lines) == 5
+        assert spectrum.sideband_lines[-2] == raw[-2]
+        assert spectrum.lines_above(0.5) == [line for line in raw if line[2] > 0.5]
+        dumped = [(e["n"], e["frequency_Hz"], e["relative_amplitude"])
+                  for e in spectrum.to_dict()["sideband_lines"]]
+        assert dumped == sorted(raw)
+
+    @pytest.mark.parametrize("bad_line, message", [
+        ((1, 101.0, -0.0001), "non-negative"),
+        ((1, 101.5, 0.0), "frequencies"),
+    ])
+    def test_first_invalid_line_is_reported(self, bad_line, message):
+        raw = [(0, 100.0, 1.0), bad_line, (2, 105.0, -0.5)]
+        with pytest.raises(ValueError, match=message):
+            TransitionSpectrum(carrier_frequency=100.0, omega=2 * math.pi,
+                               delta_alpha=1.0, sideband_lines=raw)
+
+    def test_spectra_compare_by_value(self):
+        atom, shell = synthetic_atom_and_shell(5.0)
+        a = transition_sideband_spectrum(atom, shell, 25)
+        assert a == transition_sideband_spectrum(atom, shell, 25)
+        assert a == TransitionSpectrum(carrier_frequency=a.carrier_frequency, omega=a.omega,
+                                       delta_alpha=a.delta_alpha,
+                                       sideband_lines=list(a.sideband_lines))
+        assert a != transition_sideband_spectrum(atom, shell, 26)
+
+    def test_depth_cap_rejected_before_allocation(self):
+        atom, shell = synthetic_atom_and_shell(2e6, m0=1e12)
+        with pytest.raises(ValueError, match=r"\|delta_alpha\| must be < 1e\+06"):
+            transition_sideband_spectrum(atom, shell, 10)
 
 
 class TestIonCancellation:

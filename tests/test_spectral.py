@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scalar_ab.ab_phase import PhaseHistory
-from scalar_ab.core import HBAR, DriveWaveform
-from scalar_ab.spectral import (bessel_j, default_truncation,
+from scalar_ab.core import HBAR, DriveWaveform, SidebandSpectrum
+from scalar_ab.spectral import (_bessel_row, bessel_j, default_truncation,
                                 floquet_decompose, fm_spectrum_via_fft,
                                 jacobi_anger_coeffs, quasi_energy_ladder,
                                 required_truncation)
@@ -99,6 +99,83 @@ class TestBesselJ:
                                                    abs=1e-12)
 
 
+def single_loop_bessel_row(alpha, n_max):
+    """The one-loop Miller recurrence that ``_bessel_row`` splits in two,
+    kept verbatim (alpha >= 1e-30).  Also returns whether a rescale fell
+    inside the stored range k - 1 <= n_max."""
+    start = max(n_max + 20,
+                int(math.ceil(alpha + 14.0 * alpha ** (1.0 / 3.0))) + 20)
+    if start % 2:
+        start += 1
+    row = np.zeros(n_max + 1)
+    f_above = 0.0      # f_{k+1}
+    f_k = 1e-300       # seed value; scaled out by the normalization
+    norm = 0.0
+    stored_rescale = False
+    for k in range(start, 0, -1):
+        f_below = (2.0 * k / alpha) * f_k - f_above
+        if abs(f_below) > 1e250:
+            f_below *= 1e-250
+            f_k *= 1e-250
+            norm *= 1e-250
+            row *= 1e-250
+            stored_rescale = stored_rescale or k - 1 <= n_max
+        f_above, f_k = f_k, f_below
+        if k - 1 <= n_max:
+            row[k - 1] = f_k
+        if (k - 1) > 0 and (k - 1) % 2 == 0:
+            norm += 2.0 * f_k
+    norm += f_k  # f_0
+    return row / norm, stored_rescale
+
+
+def recurrence_cases():
+    rng = np.random.default_rng(20261018)
+    cases = [(9.9e5, 81), (9.9e5, 0), (1e5, 7), (1e-30, 3), (0.5, 0), (0.5, 1),
+             (20.0, 19), (20.0, 20), (20.0, 21)]
+    for _ in range(300):
+        alpha = float(10.0 ** rng.uniform(-3.0, 4.0))
+        cases.append((alpha, int(rng.integers(0, 1000))))
+    return cases
+
+
+class TestBesselRow:
+    def test_bit_identical_to_single_loop(self):
+        stored_rescales = 0
+        for alpha, n_max in recurrence_cases():
+            want, rescaled = single_loop_bessel_row(alpha, n_max)
+            got = _bessel_row(alpha, n_max)
+            assert got.tobytes() == want.tobytes(), (alpha, n_max)
+            stored_rescales += rescaled
+        # The cases must exercise rescaling inside the stored range too.
+        assert stored_rescales >= 100
+
+    @pytest.mark.parametrize("alpha", [0.1, 1.0, 15.0, 1e4, 9.9e5])
+    def test_matches_scipy_jv(self, alpha):
+        from scipy.special import jv
+
+        n_max = required_truncation(alpha)
+        ns = np.arange(n_max + 1) if alpha < 1e5 else np.arange(0, n_max + 1, 97)
+        got = _bessel_row(alpha, n_max)[ns]
+        assert np.max(np.abs(got - jv(ns, alpha))) <= 1e-10
+
+    @pytest.mark.parametrize("alpha", [-15.0, -1.0, 0.1, 15.0])
+    def test_signed_coefficients_match_scipy_jv(self, alpha):
+        from scipy.special import jv
+
+        n_max = required_truncation(alpha)
+        s = jacobi_anger_coeffs(alpha, n_max)
+        ns = np.arange(-n_max, n_max + 1)
+        got = np.array([s.amplitude(n) for n in ns])
+        assert np.max(np.abs(got - jv(ns, alpha))) <= 1e-10
+        assert not got.imag.any()
+
+    @pytest.mark.parametrize("alpha", [1e6, -1e6, 4.8e14, 1e300, math.inf, math.nan])
+    def test_depth_cap_rejected_before_allocation(self, alpha):
+        with pytest.raises(ValueError, match=r"\|alpha\| must be < 1e\+06"):
+            jacobi_anger_coeffs(alpha, 10)
+
+
 class TestJacobiAnger:
     def test_zero_depth_is_pure_carrier(self):
         s = jacobi_anger_coeffs(0.0, 12)
@@ -119,6 +196,14 @@ class TestJacobiAnger:
         needed = required_truncation(5.0)
         with pytest.raises(ValueError, match=f"need >= {needed}"):
             jacobi_anger_coeffs(5.0, needed - 1)
+
+    def test_equals_a_dict_built_spectrum(self):
+        s = jacobi_anger_coeffs(-3.0, 20, base_energy=1e-24, omega=2.0)
+        rebuilt = SidebandSpectrum(base_energy=1e-24, omega=2.0,
+                                   coefficients=dict(s.coefficients), truncation_n=20)
+        assert s == rebuilt == jacobi_anger_coeffs(-3.0, 20, base_energy=1e-24, omega=2.0)
+        assert s != jacobi_anger_coeffs(3.0, 20, base_energy=1e-24, omega=2.0)
+        assert list(s.coefficients) == list(range(-20, 21))
 
     def test_normalization(self):
         for alpha in (0.3, 2.0, 9.5):
