@@ -417,9 +417,6 @@ class _Coefficients(_Rows, Mapping):
 
     __slots__ = ()
 
-    def __init__(self, n: Any, c: Any) -> None:
-        super().__init__(n, np.asarray(c, dtype=complex))
-
     @classmethod
     def of(cls, coefficients: Mapping[int, complex]) -> "_Coefficients":
         if isinstance(coefficients, cls):

@@ -255,6 +255,15 @@ class TestFloquetDecompose:
             assert decomp.amplitude(n) == pytest.approx(reference.amplitude(n),
                                                         abs=1e-10)
 
+    def test_decompositions_compare_by_value(self):
+        potential = DriveWaveform.sinusoid(2.3 * HBAR * self.OMEGA, self.OMEGA)
+        decomp = floquet_decompose(potential, base_energy=1e-24)
+        assert decomp == floquet_decompose(potential, base_energy=1e-24)
+        assert decomp != floquet_decompose(potential, base_energy=2e-24)
+        as_sidebands = decomp.as_sideband_spectrum()
+        assert as_sidebands.coefficients == decomp.coefficients
+        assert as_sidebands.to_dict()["coefficients"] == decomp.to_dict()["coefficients"]
+
     def test_constant_potential_is_pure_energy_shift(self):
         u0 = 3.7e-25
         period = 1e-6
