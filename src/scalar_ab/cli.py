@@ -663,9 +663,6 @@ def _run_floquet(config: ExperimentConfig) -> str:
     else:
         times = [t * 1e-9 for t in p["samples_t_ns"]]
         values = [_ghz_to_joule(u) for u in p["samples_u_over_h_GHz"]]
-        if len(times) != len(values):
-            raise ConfigError("samples_t_ns and samples_u_over_h_GHz must have "
-                              "equal length")
         potential = DriveWaveform.sampled(times, values)
         expected = 2.0 * math.pi / omega
         if abs(potential.period - expected) > 1e-9 * expected:

@@ -242,6 +242,9 @@ class DriveWaveform:
     @classmethod
     def sampled(cls, times: Sequence[float], values: Sequence[float],
                 period: float | None = None) -> "DriveWaveform":
+        _require(len(times) == len(values),
+                 f"DriveWaveform.sampled needs as many values as times "
+                 f"(got {len(times)} times and {len(values)} values)")
         samples = tuple((float(t), float(v)) for t, v in zip(times, values))
         if period is None:
             period = samples[-1][0] - samples[0][0]
@@ -388,6 +391,13 @@ class _Rows:
         """(n, *columns) of the rows picked by ``index``, as Python scalars."""
         return zip(self.n[index].tolist(), *(c[index].tolist() for c in self.columns))
 
+    def max_abs_n(self) -> int:
+        """max |n| over the rows (0 when empty): the two end keys when the
+        keys step by one."""
+        if self._lo is not None:
+            return max(-self._lo, int(self.n[-1]))
+        return int(np.abs(self.n).max(initial=0))
+
     def find(self, n: Any) -> int:
         try:
             k = int(n)
@@ -464,10 +474,12 @@ class _Lines(_Rows, Sequence):
 
 
 def _check_norm(owner: str, term: str, values: np.ndarray, tol: float, bound: str) -> None:
+    """Require sum |values|^2 within tol of 1; ``bound`` names tol in the
+    message through ``{tol}`` fields, formatted only on failure."""
     total = float(np.sum(np.abs(values) ** 2))
-    _require(abs(total - 1.0) <= tol,
-             f"{owner} normalization sum {term} = {total!r} "
-             f"differs from 1 by more than {bound}")
+    if not abs(total - 1.0) <= tol:
+        raise ValueError(f"invariant violated: {owner} normalization sum {term} = "
+                         f"{total!r} differs from 1 by more than {bound.format(tol=tol)}")
 
 
 @dataclass(frozen=True)
@@ -492,10 +504,10 @@ class SidebandSpectrum:
         object.__setattr__(self, "coefficients", coeffs)
         _require(self.omega > 0.0, "SidebandSpectrum.omega must be strictly positive")
         _require(self.truncation_n >= 0, "SidebandSpectrum.truncation_n must be >= 0")
-        _require(bool((np.abs(coeffs.n) <= self.truncation_n).all()),
+        _require(coeffs.max_abs_n() <= self.truncation_n,
                  "SidebandSpectrum coefficients must lie within |n| <= truncation_n")
         _check_norm("SidebandSpectrum", "|c_n|^2", coeffs.columns[0], self.norm_tol,
-                    f"norm_tol={self.norm_tol:g}")
+                    "norm_tol={tol:g}")
 
     def energy_of(self, n: int) -> float:
         """Quasi-energy base_energy + n*hbar*omega of harmonic n, in J."""

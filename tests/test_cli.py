@@ -252,6 +252,24 @@ class TestMainAndExitCodes:
             == EXIT_NUMERIC_FAILURE
         assert "numeric failure" in capsys.readouterr().err
 
+    def test_loose_residual_tol_floquet_succeeds(self, tmp_path, capsys):
+        # residual_tol 1e-3 stops at a truncation whose norm deficit (~7e-9)
+        # exceeds 1e-9 but not residual^2 (~1.5e-7)
+        conf = tmp_path / "loose.json"
+        out = tmp_path / "loose_out.json"
+        conf.write_text(json.dumps(
+            {"experiment": "FloquetDecompose",
+             "parameters": {"waveform": "sampled", "frequency_MHz": 100.0,
+                            "samples_t_ns": [0.0, 2.5, 5.0, 7.5, 10.0],
+                            "samples_u_over_h_GHz": [0.0, 0.2, -0.1, 0.05, 0.0],
+                            "residual_tol": 1e-3},
+             "output": {"path": str(out), "format": "json"}}))
+        assert main(["FloquetDecompose", "--config", str(conf)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        payload = json.loads(out.read_text())
+        deficit = 1.0 - sum(e["re"] ** 2 + e["im"] ** 2 for e in payload["coefficients"])
+        assert 1e-9 < deficit <= payload["residual"] ** 2 <= 1e-6
+
     def test_dump_preset_round_trips(self, tmp_path, capsys):
         assert main(["--dump-preset", "fig4"]) == EXIT_OK
         text = capsys.readouterr().out

@@ -113,6 +113,14 @@ class TestDriveWaveform:
         with pytest.raises(ValueError, match="omega"):
             DriveWaveform.sinusoid(1.0, 0.0)
 
+    @pytest.mark.parametrize("times, values, counts", [
+        ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 0.0], "4 times and 3 values"),
+        ([0.0, 1.0, 2.0], [0.0, 1.0, 1.0, 0.0], "3 times and 4 values")])
+    def test_sampled_rejects_unequal_lengths(self, times, values, counts):
+        # zip would otherwise keep the shorter list and change the period
+        with pytest.raises(ValueError, match=counts):
+            DriveWaveform.sampled(times, values)
+
     def test_round_trip(self):
         w = DriveWaveform.sampled([0.0, 0.3, 1.0], [0.2, 1.0, 0.2])
         again = DriveWaveform.from_dict(json.loads(json.dumps(w.to_dict())))
@@ -159,6 +167,22 @@ class TestSidebandSpectrum:
         with pytest.raises(ValueError, match="truncation"):
             SidebandSpectrum(base_energy=0.0, omega=1.0,
                              coefficients={5: 1.0 + 0j}, truncation_n=2)
+
+    @pytest.mark.parametrize("keys", [range(-3, 4), range(2, 4), range(-3, -1), (-3, 0),
+                                      (3,), (-3,)])
+    def test_truncation_checks_both_end_keys(self, keys):
+        # contiguous key runs are checked by their ends, others element-wise
+        coeffs = {n: (1.0 if i == 0 else 0.0) + 0j for i, n in enumerate(keys)}
+        kwargs = dict(base_energy=0.0, omega=1.0, coefficients=coeffs)
+        with pytest.raises(ValueError, match="truncation"):
+            SidebandSpectrum(truncation_n=2, **kwargs)
+        assert SidebandSpectrum(truncation_n=3, **kwargs).coefficients == coeffs
+
+    def test_norm_failure_names_its_bound(self):
+        with pytest.raises(ValueError, match=r"= 0\.25 differs from 1 by more than "
+                                             r"norm_tol=1e-09$"):
+            SidebandSpectrum(base_energy=0.0, omega=1.0,
+                             coefficients={0: 0.5 + 0j}, truncation_n=0)
 
     def test_round_trip(self):
         r = 1 / math.sqrt(2.0)

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scalar_ab import spectral
 from scalar_ab.ab_phase import PhaseHistory
-from scalar_ab.core import HBAR, DriveWaveform, SidebandSpectrum
-from scalar_ab.spectral import (_bessel_row, bessel_j, default_truncation,
+from scalar_ab.core import HBAR, PLANCK_H, DriveWaveform, SidebandSpectrum
+from scalar_ab.spectral import (FloquetDecomposition, _bessel_row, bessel_j, default_truncation,
                                 floquet_decompose, fm_spectrum_via_fft,
                                 jacobi_anger_coeffs, quasi_energy_ladder,
                                 required_truncation)
@@ -97,6 +98,53 @@ class TestBesselJ:
     def test_series_oracle_property(self, n, alpha):
         assert bessel_j(n, alpha) == pytest.approx(bessel_series_hp(n, alpha),
                                                    abs=1e-12)
+
+
+class TestBesselJLargeArgument:
+    """alpha >= 1e3 with |n| <= alpha/2: Hankel's expansion and forward
+    recurrence instead of the Miller row."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 81, 499])
+    @pytest.mark.parametrize("alpha", [1e3, 1e4, 1e5, 9.9e5])
+    def test_matches_mpmath(self, n, alpha):
+        import mpmath
+
+        with mpmath.workdps(30):
+            want = float(mpmath.besselj(n, mpmath.mpf(alpha), maxprec=40000))
+        assert abs(bessel_j(n, alpha) - want) <= 1e-15
+
+    @pytest.mark.parametrize("n", [1, 2, 81, 498, 499, 999])
+    def test_symmetries_exact(self, n):
+        alpha = 9.9e5
+        sign = (-1.0) ** n
+        j = bessel_j(n, alpha)
+        assert bessel_j(-n, alpha) == sign * j
+        assert bessel_j(n, -alpha) == sign * j
+        assert bessel_j(-n, -alpha) == j
+
+    @pytest.mark.parametrize("alpha", [math.nextafter(1e3, 0.0), 1e3,
+                                       math.nextafter(1e3, 2e3), 1002.0])
+    def test_agrees_with_row_across_the_regime_edges(self, alpha):
+        half = int(alpha // 2)
+        ns = [0, 1, 2, half - 1, half, half + 1]
+        row = _bessel_row(alpha, half + 1)
+        for n in ns:
+            assert abs(bessel_j(n, alpha) - row[n]) <= 1e-15, n
+        if alpha < 1e3:
+            # below the edge every index is read off the Miller row
+            assert [bessel_j(n, alpha) for n in ns] == [float(row[n]) for n in ns]
+
+    def test_large_index_skips_the_row(self, monkeypatch):
+        want = bessel_j(999, 9.9e5)
+
+        def no_row(alpha, n_max):
+            raise AssertionError("_bessel_row called")
+
+        monkeypatch.setattr(spectral, "_bessel_row", no_row)
+        assert bessel_j(999, 9.9e5) == want
+        assert bessel_j(-999, -9.9e5) == want
+        with pytest.raises(AssertionError, match="_bessel_row called"):
+            bessel_j(501, 1e3)   # above alpha/2: the row
 
 
 def single_loop_bessel_row(alpha, n_max):
@@ -318,6 +366,27 @@ class TestFloquetDecompose:
         total = sum(abs(c) ** 2 for c in decomp.coefficients.values())
         assert total == pytest.approx(1.0, abs=1e-9)
         assert decomp.residual < 1e-8
+
+    def test_loose_residual_tol_loosens_the_norm_bound(self):
+        # Parseval on the analysis grid: 1 - sum |c_n|^2 <= residual^2
+        t = np.linspace(0.0, 10e-9, 5)
+        u = 1e9 * PLANCK_H * np.array([0.0, 0.2, -0.1, 0.05, 0.0])
+        decomp = floquet_decompose(DriveWaveform.sampled(t, u), 0.0, residual_tol=1e-3)
+        deficit = 1.0 - sum(abs(c) ** 2 for c in decomp.coefficients.values())
+        assert 1e-9 < deficit <= decomp.residual ** 2
+
+    def test_norm_bound_is_max_of_1e9_and_residual_tol_squared(self):
+        def decomposition(deficit, residual_tol):
+            coeffs = {0: complex(math.sqrt(1.0 - deficit)), 1: 0j}
+            return FloquetDecomposition(quasi_energy=0.0, omega=1.0, coefficients=coeffs,
+                                        truncation_n=1, residual=0.0,
+                                        residual_tol=residual_tol)
+
+        decomposition(5e-7, 1e-3)
+        with pytest.raises(ValueError, match=r"more than 1e-9$"):
+            decomposition(5e-7, 1e-8)
+        with pytest.raises(ValueError, match=r"more than residual_tol\^2=1e-06$"):
+            decomposition(5e-6, 1e-3)
 
 
 class TestFmSpectrumViaFft:
