@@ -5,6 +5,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -53,6 +54,13 @@ class TestParseConfig:
             parse_config(json.dumps(
                 {"experiment": "CircuitDynamics",
                  "parameters": {"preset": "fig3", "volts": 2.0}}))
+
+    def test_unknown_key_without_close_match_names_a_schema_key(self):
+        with pytest.raises(ConfigError, match="unknown key 'zzzz'") as info:
+            parse_config(json.dumps(
+                {"experiment": "CircuitDynamics", "parameters": {"zzzz": 1.0}}))
+        suggestion = re.search(r"did you mean '([^']*)'\?$", str(info.value))
+        assert suggestion and suggestion[1] in SCHEMAS["CircuitDynamics"]
 
     def test_empty_document_lists_required_keys(self):
         with pytest.raises(ConfigError, match="required"):
@@ -236,6 +244,16 @@ class TestMainAndExitCodes:
                                    "parameters": {"volts": 1.0}}))
         assert main(["CircuitDynamics", "--config", str(bad)]) == EXIT_CONFIG_ERROR
         assert "volts" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("{bad", "config error: config is not well-formed JSON: "),
+        ("[1,2]", "config error: config document must be a JSON object\n")])
+    def test_unreadable_config_file_is_config_error(self, tmp_path, capsys, text, message):
+        doc = tmp_path / "conf.json"
+        doc.write_text(text)
+        assert main(["--config", str(doc)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
 
     def test_numeric_failure_exit_code(self, tmp_path, capsys):
         # A kinked sampled waveform cannot meet the default residual target.
@@ -455,6 +473,71 @@ class TestDeterminism:
         config.write_text(json.dumps(doc))
         assert main(["--config", str(config)]) == EXIT_OK
         assert (tmp_path / "out.json").read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+    def test_sweep_writes_what_each_config_writes_alone(self, tmp_path, capsys):
+        # The benchmark's sweep: fig3 for 200 ns at 1 and 2 uV.
+        configs = []
+        for name, amplitude in (("a", 1.0), ("b", 2.0)):
+            conf = tmp_path / f"{name}.json"
+            conf.write_text(json.dumps(circuit_config(
+                tmp_path / f"{name}.csv", t_end_ns=200.0, drive_amplitude_uV=amplitude)))
+            configs.append(conf)
+        assert main(["--sweep", *map(str, configs)]) == EXIT_OK
+        for name, conf in zip("ab", configs):
+            alone = tmp_path / f"{name}_alone.csv"
+            assert main(["--config", str(conf), "--out", str(alone)]) == EXIT_OK
+            assert alone.read_bytes() == (tmp_path / f"{name}.csv").read_bytes()
+
+
+def read_csv(path):
+    with open(path, newline="") as fh:
+        header = fh.readline()
+    return header, np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
+class TestPresetGoldens:
+    """Each preset against its output in tests/golden/.  Where numpy's
+    sin/cos or the compiled DOP853 enter, the comparison allows for the
+    numpy/scipy builds of the CI matrix instead of asking for bytes."""
+
+    @staticmethod
+    def run_preset(tmp_path, name):
+        golden = next(GOLDEN.glob(f"{name}.*"))
+        out = tmp_path / golden.name
+        assert main([name, "--out", str(out)]) == EXIT_OK
+        return out, golden
+
+    def test_earth_shell_is_byte_identical(self, tmp_path, capsys):
+        out, golden = self.run_preset(tmp_path, "earth-shell")
+        assert out.read_bytes() == golden.read_bytes()
+
+    def test_fig3_delta_phi_within_1e_9_rad(self, tmp_path, capsys):
+        out, golden = self.run_preset(tmp_path, "fig3")
+        (header, got), (golden_header, want) = read_csv(out), read_csv(golden)
+        assert header == golden_header and got.shape == want.shape
+        np.testing.assert_allclose(got[:, 0], want[:, 0], rtol=1e-15, atol=0.0)
+        assert np.max(np.abs(got[:, 1] - want[:, 1])) <= 1e-9
+        # the rate error that a 1e-9 rad phase error carries at the
+        # trajectory's own rate-to-phase scale (~2.7e10 s^-1)
+        rate_tol = 1e-9 * np.abs(want[:, 2]).max() / np.abs(want[:, 1]).max()
+        assert np.max(np.abs(got[:, 2] - want[:, 2])) <= rate_tol
+
+    def test_fig4_within_1e_14_relative(self, tmp_path, capsys):
+        # Relative to each column's largest magnitude: the central minimum
+        # sits at phi* ~ -2e-15, bisection noise around an exact zero.
+        out, golden = self.run_preset(tmp_path, "fig4")
+        got, want = json.loads(out.read_text()), json.loads(golden.read_text())
+        assert sorted(got) == sorted(want)
+        for key in want:
+            g, w = np.asarray(got[key]), np.asarray(want[key])
+            assert g.shape == w.shape, key
+            assert np.all(np.abs(g - w) <= 1e-14 * np.abs(w).max(axis=0)), key
+
+    def test_supernova_shell_within_1e_15_relative(self, tmp_path, capsys):
+        out, golden = self.run_preset(tmp_path, "supernova-shell")
+        (header, got), (golden_header, want) = read_csv(out), read_csv(golden)
+        assert header == golden_header and got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
 
 class TestSchemaSelfConsistency:
