@@ -17,11 +17,12 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import E_CHARGE, HBAR, DriveWaveform, _readonly, _require, _strictly_increasing
+from .core import (E_CHARGE, HBAR, DriveWaveform, _FieldDict, _readonly, _require,
+                   _strictly_increasing)
 
 __all__ = [
     "PhaseHistory",
@@ -37,7 +38,7 @@ DEFAULT_QUADRATURE_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class PhaseHistory:
+class PhaseHistory(_FieldDict):
     """Accumulated phase phi(t) on a time grid, with phi at the first grid
     point defined to be exactly zero (integral from the start of the grid)."""
 
@@ -53,14 +54,6 @@ class PhaseHistory:
         _require(_strictly_increasing(self.times),
                  "PhaseHistory.times must be strictly increasing")
         _require(self.phase[0] == 0.0, "PhaseHistory.phase[0] must be exactly 0")
-
-    def to_dict(self) -> dict:
-        return {"times": self.times.tolist(), "phase": self.phase.tolist()}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "PhaseHistory":
-        return cls(times=np.asarray(data["times"], dtype=float),
-                   phase=np.asarray(data["phase"], dtype=float))
 
 
 class Species(str, Enum):

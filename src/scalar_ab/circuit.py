@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (E_CHARGE, HBAR, CircuitParams, DriveWaveform, Trajectory, _readonly,
-                   _require, _strictly_increasing)
+from .core import (E_CHARGE, HBAR, CircuitParams, DriveWaveform, Trajectory, _FieldDict,
+                   _readonly, _require, _strictly_increasing)
 
 __all__ = [
     "EomParams",
@@ -56,7 +56,7 @@ class IntegrationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class EomParams:
+class EomParams(_FieldDict):
     """Coefficients of the junction equation of motion, plus the drive terms
     needed to evaluate the forcing."""
 
@@ -79,16 +79,6 @@ class EomParams:
     def small_oscillation_frequency(self) -> float:
         """Linearized resonance sqrt(omega_c^2 + nonlinear_coeff) in rad/s."""
         return math.sqrt(self.omega_c ** 2 + self.nonlinear_coeff)
-
-    def to_dict(self) -> dict[str, float]:
-        return {
-            "omega_c": self.omega_c,
-            "nonlinear_coeff": self.nonlinear_coeff,
-            "drive_coeff": self.drive_coeff,
-            "drive_amplitude": self.drive_amplitude,
-            "drive_omega": self.drive_omega,
-            "drive_phase0": self.drive_phase0,
-        }
 
 
 @dataclass(frozen=True)
@@ -424,7 +414,7 @@ def _as_trajectory(t_grid: np.ndarray, y: np.ndarray, meta: dict) -> Trajectory:
 
 
 @dataclass(frozen=True)
-class PotentialLandscape:
+class PotentialLandscape(_FieldDict):
     """Sampled anharmonic potential with refined minima and barriers.
 
     ``minima`` holds (phi*, U(phi*)) sorted by phi*; ``barrier_heights[i]``
@@ -451,14 +441,6 @@ class PotentialLandscape:
                  "PotentialLandscape.minima must be sorted by phi")
         _require(len(self.barrier_heights) == max(0, len(self.minima) - 1),
                  "PotentialLandscape needs one barrier per adjacent minima pair")
-
-    def to_dict(self) -> dict:
-        return {
-            "phi_grid": self.phi_grid.tolist(),
-            "u_values": self.u_values.tolist(),
-            "minima": [[p, u] for p, u in self.minima],
-            "barrier_heights": list(self.barrier_heights),
-        }
 
 
 def _potential_factory(params: CircuitParams):

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Any, Iterable, Mapping, Self, Sequence
 
 import numpy as np
 
@@ -49,8 +49,33 @@ def _readonly(values: Iterable[float], dtype: Any = float) -> np.ndarray:
     return arr
 
 
+def _plain(value: Any) -> Any:
+    """``value`` as JSON holds it: arrays and tuples become lists, mappings
+    dicts, all the way down."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    if isinstance(value, Mapping):
+        return {k: _plain(v) for k, v in value.items()}
+    return value
+
+
+class _FieldDict:
+    """``to_dict``/``from_dict`` for a value type: one entry per dataclass
+    field, so ``from_dict`` is just the constructor, which already turns
+    JSON's lists back into read-only arrays and tuples."""
+
+    def to_dict(self) -> dict[str, Any]:
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> Self:
+        return cls(**data)
+
+
 @dataclass(frozen=True)
-class PhysicalConstants:
+class PhysicalConstants(_FieldDict):
     """Fundamental constants (CODATA 2018 defaults), SI units.
 
     ``flux_quantum`` is always recomputed as h/2e from the stored values so
@@ -82,19 +107,6 @@ class PhysicalConstants:
         """Flux-to-phase conversion 2*pi/flux_quantum in rad/Wb."""
         return 2.0 * math.pi / self.flux_quantum
 
-    def to_dict(self) -> dict[str, float]:
-        return {
-            "hbar": self.hbar,
-            "h": self.h,
-            "e_charge": self.e_charge,
-            "c_light": self.c_light,
-            "g_newton": self.g_newton,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, float]) -> "PhysicalConstants":
-        return cls(**{k: float(v) for k, v in data.items()})
-
 
 CODATA2018 = PhysicalConstants()
 
@@ -107,7 +119,7 @@ G_NEWTON = CODATA2018.g_newton
 
 
 @dataclass(frozen=True)
-class CircuitParams:
+class CircuitParams(_FieldDict):
     """Lumped-element values of the shielded Josephson circuit.
 
     ``inductance`` and ``e_inductive`` describe the same element, as do
@@ -165,30 +177,13 @@ class CircuitParams:
         """Charging energy (2e)^2 / (2*C_sigma) in J, recomputed on access."""
         return (2.0 * E_CHARGE) ** 2 / (2.0 * self.c_sigma)
 
-    def to_dict(self) -> dict[str, float]:
-        return {
-            "c_sphere": self.c_sphere,
-            "c_sigma": self.c_sigma,
-            "c_gate": self.c_gate,
-            "c_prime": self.c_prime,
-            "inductance": self.inductance,
-            "e_josephson": self.e_josephson,
-            "l_josephson": self.l_josephson,
-            "c_josephson": self.c_josephson,
-            "e_inductive": self.e_inductive,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, float]) -> "CircuitParams":
-        return cls(**{k: float(v) for k, v in data.items()})
-
 
 _SINUSOID = "sinusoid"
 _SAMPLED = "sampled"
 
 
 @dataclass(frozen=True)
-class DriveWaveform:
+class DriveWaveform(_FieldDict):
     """A periodic scalar drive: voltage (V) or potential energy (J).
 
     ``sinusoid`` waveforms are amplitude*cos(omega*t + phase0).  ``sampled``
@@ -218,9 +213,11 @@ class DriveWaveform:
         else:
             _require(self.samples is not None and len(self.samples) >= 2,
                      "DriveWaveform: sampled waveform needs >= 2 samples")
+            samples = tuple((float(t), float(v)) for t, v in self.samples)
+            object.__setattr__(self, "samples", samples)
             # Read-only arrays built once; ``samples`` stays the stored field.
-            ts = _readonly([t for t, _ in self.samples])
-            vs = _readonly([v for _, v in self.samples])
+            ts = _readonly([t for t, _ in samples])
+            vs = _readonly([v for _, v in samples])
             object.__setattr__(self, "_times", ts)
             object.__setattr__(self, "_values", vs)
             _require(_strictly_increasing(ts),
@@ -245,10 +242,9 @@ class DriveWaveform:
         _require(len(times) == len(values),
                  f"DriveWaveform.sampled needs as many values as times "
                  f"(got {len(times)} times and {len(values)} values)")
-        samples = tuple((float(t), float(v)) for t, v in zip(times, values))
         if period is None:
-            period = samples[-1][0] - samples[0][0]
-        return cls(kind=_SAMPLED, samples=samples, period=float(period),
+            period = float(times[-1]) - float(times[0])
+        return cls(kind=_SAMPLED, samples=tuple(zip(times, values)), period=float(period),
                    omega=2.0 * math.pi / float(period))
 
     @property
@@ -296,32 +292,9 @@ class DriveWaveform:
         out = wraps * per_period + partial
         return out if np.ndim(t) else float(out)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "amplitude": self.amplitude,
-            "omega": self.omega,
-            "phase0": self.phase0,
-            "samples": None if self.samples is None else [list(s) for s in self.samples],
-            "period": self.period,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "DriveWaveform":
-        samples = data.get("samples")
-        return cls(
-            kind=str(data["kind"]),
-            amplitude=float(data.get("amplitude", 0.0)),
-            omega=float(data["omega"]),
-            phase0=float(data.get("phase0", 0.0)),
-            samples=None if samples is None else tuple((float(t), float(v))
-                                                       for t, v in samples),
-            period=float(data.get("period", 0.0)),
-        )
-
 
 @dataclass(frozen=True)
-class Trajectory:
+class Trajectory(_FieldDict):
     """Time series of the junction phase difference and its rate."""
 
     times: np.ndarray           # s
@@ -346,21 +319,6 @@ class Trajectory:
             writer.writerow(["t_seconds", "delta_phi_rad", "delta_phi_dot_rad_per_s"])
             for t, p, pd in zip(self.times, self.delta_phi, self.delta_phi_dot):
                 writer.writerow([f"{t:.17g}", f"{p:.17g}", f"{pd:.17g}"])
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "times": self.times.tolist(),
-            "delta_phi": self.delta_phi.tolist(),
-            "delta_phi_dot": self.delta_phi_dot.tolist(),
-            "meta": dict(self.meta),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Trajectory":
-        return cls(times=np.asarray(data["times"], dtype=float),
-                   delta_phi=np.asarray(data["delta_phi"], dtype=float),
-                   delta_phi_dot=np.asarray(data["delta_phi_dot"], dtype=float),
-                   meta=dict(data.get("meta", {})))
 
 
 class _Rows:
@@ -535,7 +493,7 @@ class SidebandSpectrum:
 
 
 @dataclass(frozen=True)
-class MassShell:
+class MassShell(_FieldDict):
     """Spherical mass shell with sinusoidally modulated mass."""
 
     m0: float      # kg, DC mass
@@ -549,16 +507,9 @@ class MassShell:
         _require(abs(self.m1) <= self.m0,
                  "MassShell requires |m1| <= m0 (total mass never negative)")
 
-    def to_dict(self) -> dict[str, float]:
-        return {"m0": self.m0, "m1": self.m1, "radius": self.radius, "omega": self.omega}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, float]) -> "MassShell":
-        return cls(**{k: float(v) for k, v in data.items()})
-
 
 @dataclass(frozen=True)
-class TwoLevelAtom:
+class TwoLevelAtom(_FieldDict):
     """Two-level system with explicit level energies and rest masses.
 
     Energies and masses are stored redundantly so the mass-energy relation
@@ -600,16 +551,3 @@ class TwoLevelAtom:
     @property
     def transition_energy(self) -> float:
         return self.energy_f - self.energy_i
-
-    def to_dict(self) -> dict[str, float]:
-        return {
-            "energy_i": self.energy_i,
-            "energy_f": self.energy_f,
-            "rest_mass_i": self.rest_mass_i,
-            "rest_mass_f": self.rest_mass_f,
-            "charge": self.charge,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, float]) -> "TwoLevelAtom":
-        return cls(**{k: float(v) for k, v in data.items()})

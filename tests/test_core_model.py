@@ -1,5 +1,6 @@
 """Value-type invariants and serialization round trips."""
 
+import dataclasses
 import json
 import math
 from collections.abc import Mapping
@@ -9,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scalar_ab.ab_phase import PhaseHistory
+from scalar_ab.circuit import EomParams, PotentialLandscape
 from scalar_ab.core import (CODATA2018, C_LIGHT, CircuitParams, DriveWaveform,
                             MassShell, PhysicalConstants, SidebandSpectrum,
                             Trajectory, TwoLevelAtom, _strictly_increasing)
@@ -274,6 +277,29 @@ def test_sinusoid_round_trip_is_identity(amplitude, omega, phase0):
     w = DriveWaveform.sinusoid(amplitude, omega, phase0)
     again = DriveWaveform.from_dict(json.loads(json.dumps(w.to_dict())))
     assert again == w
+
+
+@pytest.mark.parametrize("value", [
+    PhysicalConstants(),
+    make_circuit_params(),
+    DriveWaveform.sinusoid(-1e-6, 2 * math.pi * 150e6, 0.3),
+    DriveWaveform.sampled(np.array([0.0, 0.3, 1.0]), [0.2, 1.0, 0.2]),
+    Trajectory(times=[0.0, 1e-9], delta_phi=[0.0, 0.1], delta_phi_dot=[0.0, 1e8],
+               meta={"eom": {"omega_c": 1e10}, "envelope": None, "span": (0.0, 1e-9)}),
+    MassShell(m0=5.972e24, m1=-1e10, radius=6.371e6, omega=2 * math.pi * 1e-3),
+    TwoLevelAtom.from_transition(1.44316060e-25, 1.589 * E),
+    EomParams(omega_c=5e10, nonlinear_coeff=2e21, drive_coeff=1e19,
+              drive_amplitude=-1e-6, drive_omega=2 * math.pi * 150e6),
+    PotentialLandscape(phi_grid=[-1.0, 0.0, 1.0, 2.0], u_values=[1.0, 0.0, 1.0, 0.5],
+                       minima=((0.0, 0.0), (2.0, 0.5)), barrier_heights=(0.5,)),
+    PhaseHistory(times=[0.0, 1e-9, 3e-9], phase=[0.0, 0.7, -2.4]),
+], ids=lambda value: type(value).__name__)
+def test_to_dict_lists_every_field_and_from_dict_inverts_it(value):
+    data = value.to_dict()
+    assert list(data) == [f.name for f in dataclasses.fields(value)]
+    text = json.dumps(data, sort_keys=True)
+    again = type(value).from_dict(json.loads(text))
+    assert json.dumps(again.to_dict(), sort_keys=True) == text
 
 
 class TestStrictlyIncreasing:
