@@ -298,20 +298,8 @@ def _suggest(key: str, experiment: str, valid: Sequence[str]) -> str:
     alias = ALIASES.get(experiment, {}).get(key.lower())
     if alias is not None:
         return alias
-    close = difflib.get_close_matches(key, valid, n=1, cutoff=0.3)
-    if close:
-        return close[0]
-    # fall back to the longest shared-prefix key so the message always names one
-    return max(valid, key=lambda k: len(_common_prefix(k, key)))
-
-
-def _common_prefix(a: str, b: str) -> str:
-    n = 0
-    for x, y in zip(a.lower(), b.lower()):
-        if x != y:
-            break
-        n += 1
-    return a[:n]
+    # cutoff 0 always names a key, the closest one
+    return difflib.get_close_matches(key, valid, n=1, cutoff=0.0)[0]
 
 
 def _check_number(key: str, value: Any, spec: KeySpec, experiment: str) -> float:
@@ -436,18 +424,25 @@ def _check_required(experiment: str, params: Mapping[str, Any]) -> None:
         raise ConfigError(f"missing required keys for {experiment}: {details}")
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a JSON config document.
-
-    Raises :class:`ConfigError` naming the offending key (with the nearest
-    valid key, the expected unit, or the list of required keys).
-    """
+def _read_object(text: str) -> dict[str, Any]:
+    """The JSON object in ``text``."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not well-formed JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config document must be a JSON object")
+    return data
+
+
+def parse_config(text: str | Mapping[str, Any]) -> ExperimentConfig:
+    """Parse and validate a JSON config document, given as text or as the
+    object already read from it (which is not modified).
+
+    Raises :class:`ConfigError` naming the offending key (with the nearest
+    valid key, the expected unit, or the list of required keys).
+    """
+    data = _read_object(text) if isinstance(text, str) else text
     if not data:
         required = sorted(k for k, s in SCHEMAS["CircuitDynamics"].items() if s.required)
         raise ConfigError(
@@ -759,13 +754,7 @@ def _load_config(target: str | None, config_path: str | None,
             f"{list(EXPERIMENTS)}; presets: {sorted(PRESETS)}")
     if config_path is not None:
         with open(config_path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        try:
-            overlay = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not well-formed JSON: {exc}") from exc
-        if not isinstance(overlay, dict):
-            raise ConfigError("config document must be a JSON object")
+            overlay = _read_object(fh.read())
         if base:
             declared = overlay.get("experiment", base["experiment"])
             if declared != base["experiment"]:
@@ -791,7 +780,7 @@ def _load_config(target: str | None, config_path: str | None,
         base.setdefault("output", {})["path"] = out
     if fmt is not None:
         base.setdefault("output", {})["format"] = fmt
-    return parse_config(json.dumps(base))
+    return parse_config(base)
 
 
 def build_parser() -> argparse.ArgumentParser:

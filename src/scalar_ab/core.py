@@ -54,7 +54,7 @@ def _plain(value: Any) -> Any:
     dicts, all the way down."""
     if isinstance(value, np.ndarray):
         return value.tolist()
-    if isinstance(value, (tuple, list)):
+    if isinstance(value, tuple):
         return [_plain(v) for v in value]
     if isinstance(value, Mapping):
         return {k: _plain(v) for k, v in value.items()}
