@@ -24,11 +24,18 @@ import argparse
 import difflib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
-import numpy as np
+# scalar_ab makes no BLAS call, so a CLI process that is the first to load
+# numpy starts OpenBLAS with one thread instead of an idle pool.  A caller's
+# own setting wins, and a process that already loaded numpy is left alone.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402  (after the thread setting above)
 
 from . import ab_phase, circuit, redshift, spectral
 from .core import (E_CHARGE, HBAR, PLANCK_H, CircuitParams, DriveWaveform,
@@ -395,14 +402,16 @@ def _validate_species(key: str, value: Any, experiment: str) -> list[dict[str, A
 
 
 def _expand_preset(experiment: str, params: dict[str, Any]) -> dict[str, Any]:
-    name = params.pop("preset", None)
-    if name is None:
+    """The raw ``params`` laid over the preset they name; a null value keeps
+    the preset's.  The ``preset`` key is checked here like any other key."""
+    if params.get("preset") is None:
         return params
+    name = _validate_parameters(experiment, {"preset": params.pop("preset")})["preset"]
     preset = PRESETS.get(name)
     if preset is None or preset["experiment"] != experiment:
         raise ConfigError(f"unknown preset '{name}' for experiment {experiment}")
     merged = dict(preset["parameters"])
-    merged.update(params)
+    merged.update((k, v) for k, v in params.items() if v is not None or k not in merged)
     return merged
 
 
@@ -461,9 +470,8 @@ def parse_config(text: str | Mapping[str, Any]) -> ExperimentConfig:
     raw_params = data.get("parameters", {})
     if not isinstance(raw_params, dict):
         raise ConfigError("'parameters' must be a JSON object")
-    params = _validate_parameters(experiment, dict(raw_params))
-    params = _expand_preset(experiment, params)
-    params = _validate_parameters(experiment, params)  # preset values go through the same checks
+    # preset values go through the same checks as the user's
+    params = _validate_parameters(experiment, _expand_preset(experiment, dict(raw_params)))
     _apply_defaults(experiment, params)
     _check_required(experiment, params)
 
@@ -487,10 +495,11 @@ def parse_config(text: str | Mapping[str, Any]) -> ExperimentConfig:
             f"|m1_kg| ({params['m1_kg']:g}) must not exceed m0_kg ({params['m0_kg']:g}); "
             "the shell mass would turn negative")
     if (experiment == "FloquetDecompose" and params.get("waveform") == "sampled"
-            and len(params.get("samples_t_ns", []))
-            != len(params.get("samples_u_over_h_GHz", []))):
+            and not 2 <= len(params["samples_t_ns"]) == len(params["samples_u_over_h_GHz"])):
         raise ConfigError("samples_t_ns and samples_u_over_h_GHz must have "
-                          "equal length")
+                          "equal length, at least 2 samples each (got "
+                          f"{len(params['samples_t_ns'])} and "
+                          f"{len(params['samples_u_over_h_GHz'])})")
 
     output = data.get("output", {})
     if not isinstance(output, dict):

@@ -242,8 +242,12 @@ class DriveWaveform(_FieldDict):
         _require(len(times) == len(values),
                  f"DriveWaveform.sampled needs as many values as times "
                  f"(got {len(times)} times and {len(values)} values)")
+        _require(len(times) >= 2,
+                 f"DriveWaveform.sampled needs >= 2 samples (got {len(times)})")
         if period is None:
             period = float(times[-1]) - float(times[0])
+        _require(period > 0.0, f"DriveWaveform.sampled period must be positive "
+                               f"(got {period})")
         return cls(kind=_SAMPLED, samples=tuple(zip(times, values)), period=float(period),
                    omega=2.0 * math.pi / float(period))
 

@@ -48,6 +48,11 @@ class TestParseConfig:
         assert config.parameters["t_end_ns"] == 5.0
         assert config.parameters["drive_amplitude_uV"] == 1.0
 
+    def test_null_value_keeps_the_preset_value(self):
+        config = parse_config({"experiment": "CircuitDynamics",
+                               "parameters": {"preset": "fig3", "t_end_ns": None}})
+        assert config.parameters["t_end_ns"] == 20.0
+
     def test_unknown_key_names_nearest_valid_key(self):
         with pytest.raises(ConfigError,
                            match="unknown key 'volts'.*drive_amplitude_uV"):
@@ -341,6 +346,29 @@ class TestMainAndExitCodes:
         assert key in err and "numeric failure" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("experiment, parameters, key", [
+        # used to end in an IndexError traceback
+        ("FloquetDecompose", {"waveform": "sampled", "frequency_MHz": 100.0,
+                              "samples_t_ns": [], "samples_u_over_h_GHz": []},
+         "samples_t_ns"),
+        # used to exit 2 with "float division by zero"
+        ("FloquetDecompose", {"waveform": "sampled", "frequency_MHz": 100.0,
+                              "samples_t_ns": [0.0], "samples_u_over_h_GHz": [0.0]},
+         "samples_t_ns"),
+        # an unhashable preset name must not reach the preset table
+        ("CircuitDynamics", {"preset": [1]}, "preset"),
+    ])
+    def test_bad_config_is_one_line_config_error(self, tmp_path, capsys, experiment,
+                                                 parameters, key):
+        doc = tmp_path / "conf.json"
+        doc.write_text(json.dumps({"experiment": experiment, "parameters": parameters,
+                                   "output": {"path": str(tmp_path / "out")}}))
+        assert main(["--config", str(doc)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("config error:") and key in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("experiment, parameters, name", [
         ("ElectricSidebands", {"drive_amplitude_uV": 1e12, "drive_frequency_MHz": 1.0},
          "alpha"),
@@ -411,7 +439,96 @@ class TestMainAndExitCodes:
         assert main(["--sweep", str(conf), str(conf)]) == EXIT_CONFIG_ERROR
 
 
+def run_fresh(code, cwd, **env):
+    """Run ``code`` in a fresh interpreter that imports scalar_ab from this
+    checkout, with OPENBLAS_NUM_THREADS unset unless given; returns stdout."""
+    src = str(Path(scalar_ab.__file__).resolve().parents[1])
+    child_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    child_env["PYTHONPATH"] = src + os.pathsep + os.environ.get("PYTHONPATH", "")
+    child_env.update(env)
+    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=child_env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+# scalar_ab.__all__ before the package became lazy; the lazy table must keep it.
+PUBLIC_NAMES = {
+    "CODATA2018", "PhysicalConstants", "CircuitParams", "DriveWaveform", "Trajectory",
+    "SidebandSpectrum", "MassShell", "TwoLevelAtom", "PhaseHistory", "Species",
+    "SpeciesCount", "accumulate_electric_phase", "accumulate_grav_phase",
+    "net_bulk_phase", "write_phase_csv", "EomParams", "DriveEnvelope", "StepControl",
+    "PotentialLandscape", "IntegrationError", "build_eom", "integrate_trajectory",
+    "specific_energy", "potential_landscape", "flux_quantum_count",
+    "harmonic_level_spacing", "FloquetDecomposition", "bessel_j", "jacobi_anger_coeffs",
+    "required_truncation", "quasi_energy_ladder", "floquet_decompose",
+    "fm_spectrum_via_fft", "ModulationIndices", "TransitionSpectrum", "shell_potential",
+    "exploding_shell_potential", "rest_mass_in_potential", "redshifted_frequency",
+    "modulation_indices", "transition_sideband_spectrum", "ion_cancellation_check",
+    "__version__",
+}
+
+# Prints the BLAS thread setting and, on Linux with two or more CPUs, the
+# number of threads the process runs after importing scalar_ab.cli.
+THREADS_AFTER_CLI_IMPORT = """
+import json, os, sys
+import scalar_ab.cli
+tasks = (len(os.listdir("/proc/self/task"))
+         if sys.platform.startswith("linux") and (os.cpu_count() or 1) >= 2 else None)
+print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), tasks]))
+"""
+
+
 class TestStartupImports:
+    def test_package_import_is_lazy(self, tmp_path):
+        code = """
+import sys
+import scalar_ab
+loaded = [m for m in sys.modules
+          if m.split(".")[0] == "numpy" or m.startswith("scalar_ab.")]
+assert loaded == [], loaded
+"""
+        run_fresh(code, tmp_path)
+
+    def test_star_import_binds_the_public_names(self, tmp_path):
+        code = """
+import json
+import scalar_ab
+names = {}
+exec("from scalar_ab import *", names)
+missing = [n for n in scalar_ab.__all__ if n not in names]
+assert not missing, missing
+assert names["__version__"] == "0.1.0"
+assert names["bessel_j"] is scalar_ab.spectral.bessel_j
+print(json.dumps(scalar_ab.__all__))
+"""
+        public = json.loads(run_fresh(code, tmp_path))
+        assert len(public) == len(PUBLIC_NAMES) == 43
+        assert set(public) == PUBLIC_NAMES
+        with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+            scalar_ab.nonexistent
+
+    def test_cli_import_starts_one_blas_thread(self, tmp_path):
+        setting, tasks = json.loads(run_fresh(THREADS_AFTER_CLI_IMPORT, tmp_path))
+        assert setting == "1"
+        assert tasks in (None, 1)
+
+    def test_callers_blas_setting_wins(self, tmp_path):
+        setting, _ = json.loads(run_fresh(THREADS_AFTER_CLI_IMPORT, tmp_path,
+                                          OPENBLAS_NUM_THREADS="2"))
+        assert setting == "2"
+
+    def test_cli_import_after_numpy_leaves_environment_alone(self, tmp_path):
+        code = """
+import os
+import numpy
+before = dict(os.environ)
+import scalar_ab.cli
+assert dict(os.environ) == before
+assert "OPENBLAS_NUM_THREADS" not in os.environ
+"""
+        run_fresh(code, tmp_path)
+
     def test_runs_import_no_scipy_package(self, tmp_path):
         # The circuit module loads scipy's compiled DOP codes from their file,
         # so no scipy package __init__ (~0.9 s of import) runs.
@@ -437,11 +554,7 @@ for name, amplitude in (("a", 1.0), ("b", 2.0)):
 assert main(["--sweep", "a.json", "b.json"]) == 0
 assert "scipy.integrate" not in sys.modules, scipy_modules()
 """
-        src = str(Path(scalar_ab.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
+        run_fresh(code, tmp_path)
         for name in ("fig3", "a", "b"):
             assert (tmp_path / f"{name}.csv").stat().st_size > 0
 

@@ -124,6 +124,17 @@ class TestDriveWaveform:
         with pytest.raises(ValueError, match=counts):
             DriveWaveform.sampled(times, values)
 
+    @pytest.mark.parametrize("times, values, period, message", [
+        ([], [], None, r"needs >= 2 samples \(got 0\)"),
+        ([0.0], [1.0], None, r"needs >= 2 samples \(got 1\)"),
+        ([0.0, 1.0], [1.0, 1.0], 0.0, "period must be positive"),
+        ([0.0, 1.0], [1.0, 1.0], -1.0, "period must be positive")])
+    def test_sampled_rejects_too_few_samples_or_bad_period(self, times, values, period,
+                                                           message):
+        # these used to end in an IndexError or a division by zero
+        with pytest.raises(ValueError, match=message):
+            DriveWaveform.sampled(times, values, period)
+
     def test_round_trip(self):
         w = DriveWaveform.sampled([0.0, 0.3, 1.0], [0.2, 1.0, 0.2])
         again = DriveWaveform.from_dict(json.loads(json.dumps(w.to_dict())))
