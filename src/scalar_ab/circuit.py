@@ -16,7 +16,11 @@ system conserves the specific energy
 Integration calls the compiled Hairer DOP853/DOPRI5 codes (DOP853 by
 default) in scipy's private extension ``scipy/integrate/_dop``, loaded from
 its file on first use so that importing this module imports no scipy package;
-samples are reached by stepping to each output time.  A fixed-step classic
+samples are reached by stepping to each output time.  The right-hand side
+writes one shared array, which relies on the wrapper copying each returned
+buffer before its next call (pinned bit for bit by a test against a
+list-returning right-hand side), and each output interval gets the cheapest
+body that the drive envelope allows there.  A fixed-step classic
 RK4 is kept for bit-reproducibility studies.  Potential extrema are refined
 by bisection on the closed-form dU/dphi.
 """
@@ -207,42 +211,72 @@ def _envelope_scalar(env: DriveEnvelope, ramp: float):
 
 def _rhs_factory(eom: EomParams, envelope: DriveEnvelope | None, ramp: float,
                  rate_scale: float = 1.0):
-    """Right-hand side for the state (phi, phi_dot/rate_scale); 1.0 leaves
-    every operation exact.  The compiled solvers keep stepping after an
-    exception in their callback, so sin(+-inf) of an overflowed state returns
-    NaN instead, which they report as a failed step-size control."""
+    """Right-hand sides for the state (phi, phi_dot/rate_scale); 1.0 leaves
+    every operation exact.  Returns the undriven, plain driven and whole-span
+    bodies: the last is right everywhere, the first two give its bits where
+    the envelope is 0 or 1.  Each writes one shared array and returns it, so
+    a caller keeping a result past the next call must copy it.  The compiled
+    solvers keep stepping after an exception in their callback, so sin(+-inf)
+    of an overflowed state returns NaN instead, which they report as a failed
+    step-size control."""
     wc2 = eom.omega_c ** 2 / rate_scale
     nl = eom.nonlinear_coeff / rate_scale
     force = eom.drive_coeff * eom.drive_amplitude / rate_scale
     w = eom.drive_omega
     ph0 = eom.drive_phase0
-    if force == 0.0:
-        def rhs(t: float, y):
-            p, v = y.tolist()
-            try:
-                return [rate_scale * v, -wc2 * p - nl * math.sin(p)]
-            except ValueError:
-                return [math.nan, math.nan]
-        return rhs
-    if envelope is None:
-        def rhs(t: float, y):
-            p, v = y.tolist()
-            try:
-                return [rate_scale * v, -wc2 * p - nl * math.sin(p)
-                        - force * math.cos(w * t + ph0)]
-            except ValueError:
-                return [math.nan, math.nan]
-        return rhs
-    env_value = _envelope_scalar(envelope, ramp)
+    out = np.empty(2)
+    buf = memoryview(out)
 
-    def rhs(t: float, y):
+    def undriven(t: float, y):
         p, v = y.tolist()
         try:
-            return [rate_scale * v, -wc2 * p - nl * math.sin(p)
-                    - force * env_value(t) * math.cos(w * t + ph0)]
+            buf[0], buf[1] = rate_scale * v, -wc2 * p - nl * math.sin(p)
         except ValueError:
-            return [math.nan, math.nan]
-    return rhs
+            buf[0] = buf[1] = math.nan
+        return out
+    if force == 0.0:
+        return undriven, undriven, undriven
+
+    def driven(t: float, y):
+        p, v = y.tolist()
+        try:
+            buf[0], buf[1] = (rate_scale * v, -wc2 * p - nl * math.sin(p)
+                              - force * math.cos(w * t + ph0))
+        except ValueError:
+            buf[0] = buf[1] = math.nan
+        return out
+    if envelope is None:
+        return undriven, driven, driven
+    env_value = _envelope_scalar(envelope, ramp)
+
+    def enveloped(t: float, y):
+        p, v = y.tolist()
+        try:
+            buf[0], buf[1] = (rate_scale * v, -wc2 * p - nl * math.sin(p)
+                              - force * env_value(t) * math.cos(w * t + ph0))
+        except ValueError:
+            buf[0] = buf[1] = math.nan
+        return out
+    return undriven, driven, enveloped
+
+
+def _body_index(env: DriveEnvelope, ramp: float, t: float, t_end: float,
+                max_step: float) -> int:
+    """The cheapest of :func:`_rhs_factory`'s bodies with the enveloped body's
+    bits on one compiled call from ``t`` to ``t_end``: 0 where the envelope
+    is 0 throughout, 1 where it is 1 throughout, else 2.  The codes' first
+    trial step may reach a finite ``max_step`` (0: unbounded) past ``t``, and
+    a few ulps of padding guard against stage times rounded past the ends."""
+    reach = math.copysign(max(abs(t_end - t), max_step), t_end - t)
+    lo, hi = sorted((t, t + reach))
+    pad = 4.0 * math.ulp(max(abs(lo), abs(hi)))
+    lo, hi, ramp = lo - pad, hi + pad, max(ramp, 0.0)
+    t_off = math.inf if env.t_off is None else env.t_off
+    if hi < env.t_on or lo >= t_off:
+        return 0
+    if lo > env.t_on + ramp and hi < t_off - ramp:
+        return 1
+    return 2
 
 
 def _rk4_fixed(rhs, t_grid: np.ndarray, y0: np.ndarray, step: float) -> np.ndarray:
@@ -256,10 +290,11 @@ def _rk4_fixed(rhs, t_grid: np.ndarray, y0: np.ndarray, step: float) -> np.ndarr
         h = (t1 - t0) / n_sub
         t = t0
         for _ in range(n_sub):
-            k1 = np.asarray(rhs(t, y))
-            k2 = np.asarray(rhs(t + 0.5 * h, y + 0.5 * h * k1))
-            k3 = np.asarray(rhs(t + 0.5 * h, y + 0.5 * h * k2))
-            k4 = np.asarray(rhs(t + h, y + h * k3))
+            # rhs returns one shared array: copy each stage
+            k1 = np.array(rhs(t, y))
+            k2 = np.array(rhs(t + 0.5 * h, y + 0.5 * h * k1))
+            k3 = np.array(rhs(t + 0.5 * h, y + 0.5 * h * k2))
+            k4 = np.array(rhs(t + h, y + h * k3))
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             t += h
         out[:, i + 1] = y
@@ -361,7 +396,7 @@ def integrate_trajectory(eom: EomParams, phi0: float, phidot0: float,
     }
 
     if step_control.method == "rk4":
-        rhs = _rhs_factory(eom, envelope, ramp)
+        rhs = _rhs_factory(eom, envelope, ramp)[2]
         try:
             y = _rk4_fixed(rhs, t_grid, np.array([phi0, phidot0]),
                            step_control.fixed_step)
@@ -376,7 +411,7 @@ def integrate_trajectory(eom: EomParams, phi0: float, phidot0: float,
     # atol [abs_tol, abs_tol*w], with w the fastest system rate.
     rate_scale = max(eom.small_oscillation_frequency, eom.drive_omega,
                      1.0 / abs(t1 - t0))
-    rhs = _rhs_factory(eom, envelope, ramp, rate_scale)
+    bodies = _rhs_factory(eom, envelope, ramp, rate_scale)
     if step_control.method == "dop853":
         name, run, n_work, dfactor, ifactor = "dop853", _dop_codes().dopri853, 43, 0.3, 6.0
     else:
@@ -389,7 +424,14 @@ def integrate_trajectory(eom: EomParams, phi0: float, phidot0: float,
     state = np.array([float(phi0), float(phidot0) / rate_scale])
     y = np.empty((2, n_samples))
     y[:, 0] = phi0, phidot0
+    # Not from a rate of -0.0: the undriven body keeps its sign, where
+    # force * 0.0 * cos may flip it.
+    per_interval = envelope is not None and bodies[0] is not bodies[2] and not (
+        state[1] == 0.0 and math.copysign(1.0, state[1]) < 0.0)
+    rhs = bodies[2]
     for i in range(1, n_samples):
+        if per_interval:
+            rhs = bodies[_body_index(envelope, ramp, t, t_grid[i], max_step)]
         # The codes may write into y, hence the copy; the trailing () is
         # fcn_extra_args, and leaving it out has crashed the process.
         t, state, idid = run(rhs, t, state.copy(), t_grid[i], step_control.rel_tol,

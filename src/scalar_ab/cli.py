@@ -25,6 +25,7 @@ import difflib
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
@@ -588,15 +589,20 @@ def _ghz_to_joule(value: float) -> float:
 
 
 def _circuit_params(p: Mapping[str, Any]) -> CircuitParams:
-    return CircuitParams(
-        c_sphere=p["c_sphere_fF"] * 1e-15,
-        c_sigma=p["c_sigma_fF"] * 1e-15,
-        c_gate=p["c_gate_fF"] * 1e-15,
-        c_prime=p["c_prime_fF"] * 1e-15,
-        inductance=p["inductance_nH"] * 1e-9,
-        e_josephson=_ghz_to_joule(p["e_josephson_GHz"]),
-        c_josephson=p.get("c_josephson_fF", 0.0) * 1e-15,
-    )
+    """CircuitParams from the element keys the experiment has, each named
+    <field>_<unit>; CircuitParams derives whichever of inductance_nH and
+    e_inductive_GHz is missing.  A broken invariant is a config error that
+    names the keys of the fields in its message."""
+    keys = {key.rsplit("_", 1)[0]: key for key in (*_CIRCUIT_ELEMENT_KEYS, "e_inductive_GHz")
+            if key in p}
+    try:
+        return CircuitParams(**{
+            name: _ghz_to_joule(p[key]) if key.endswith("_GHz")
+            else p[key] * (1e-9 if key.endswith("_nH") else 1e-15)
+            for name, key in keys.items()})
+    except ValueError as exc:
+        named = [key for name, key in keys.items() if re.search(rf"\b{name}\b", str(exc))]
+        raise ConfigError(f"{', '.join(named)}: {exc}") from exc
 
 
 def _run_circuit_dynamics(config: ExperimentConfig) -> str:
@@ -632,14 +638,7 @@ def _run_circuit_dynamics(config: ExperimentConfig) -> str:
 
 def _run_potential_landscape(config: ExperimentConfig) -> str:
     p = config.parameters
-    params = CircuitParams(
-        c_sphere=p["c_sphere_fF"] * 1e-15,
-        c_sigma=p["c_sigma_fF"] * 1e-15,
-        c_gate=p["c_gate_fF"] * 1e-15,
-        c_prime=p["c_prime_fF"] * 1e-15,
-        e_inductive=_ghz_to_joule(p["e_inductive_GHz"]),
-        e_josephson=_ghz_to_joule(p["e_josephson_GHz"]),
-    )
+    params = _circuit_params(p)
     landscape = circuit.potential_landscape(
         params, (p["phi_min_rad"], p["phi_max_rad"]), p["n_points"])
     _write_json(config.output_path, landscape.to_dict())

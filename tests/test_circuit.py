@@ -255,13 +255,15 @@ class TestCompiledCodes:
     directly; scipy.integrate.ode running the same codes is the oracle."""
 
     @staticmethod
-    def ode_oracle(eom, phi0, phidot0, t_span, control, envelope, n_samples):
+    def ode_oracle(eom, phi0, phidot0, t_span, control, envelope, n_samples,
+                   rhs_factory=lambda *args: circuit._rhs_factory(*args)[2]):
+        """Runs the whole-span right-hand side unless given another."""
         t0, t1 = t_span
         ramp = 0.0
         if envelope is not None:
             ramp = envelope.resolve_ramp(2 * math.pi / eom.drive_omega)
         w = max(eom.small_oscillation_frequency, eom.drive_omega, 1.0 / abs(t1 - t0))
-        solver = ode(circuit._rhs_factory(eom, envelope, ramp, w)).set_integrator(
+        solver = ode(rhs_factory(eom, envelope, ramp, w)).set_integrator(
             "dop853" if control.method == "dop853" else "dopri5",
             rtol=control.rel_tol, atol=control.abs_tol, nsteps=2 ** 31 - 1,
             max_step=0.0 if math.isinf(control.max_step) else control.max_step)
@@ -336,6 +338,114 @@ class TestCompiledCodes:
         assert circuit._scipy_version(os.path.dirname(scipy.__file__)) == scipy.__version__
         traj = integrate_trajectory(eom, 0.1, 0.0, (0.0, 1e-9), n_samples=3)
         assert np.all(np.isfinite(traj.delta_phi))
+
+
+def list_rhs(eom, envelope, ramp, rate_scale=1.0):
+    """The right-hand side before the shared output buffer: a new list per
+    call, one body for the whole span."""
+    wc2 = eom.omega_c ** 2 / rate_scale
+    nl = eom.nonlinear_coeff / rate_scale
+    force = eom.drive_coeff * eom.drive_amplitude / rate_scale
+    w = eom.drive_omega
+    ph0 = eom.drive_phase0
+    if force == 0.0:
+        def rhs(t, y):
+            p, v = y.tolist()
+            try:
+                return [rate_scale * v, -wc2 * p - nl * math.sin(p)]
+            except ValueError:
+                return [math.nan, math.nan]
+        return rhs
+    if envelope is None:
+        def rhs(t, y):
+            p, v = y.tolist()
+            try:
+                return [rate_scale * v, -wc2 * p - nl * math.sin(p)
+                        - force * math.cos(w * t + ph0)]
+            except ValueError:
+                return [math.nan, math.nan]
+        return rhs
+    env_value = circuit._envelope_scalar(envelope, ramp)
+
+    def rhs(t, y):
+        p, v = y.tolist()
+        try:
+            return [rate_scale * v, -wc2 * p - nl * math.sin(p)
+                    - force * env_value(t) * math.cos(w * t + ph0)]
+        except ValueError:
+            return [math.nan, math.nan]
+    return rhs
+
+
+class TestReferenceRhs:
+    """integrate_trajectory against list_rhs run through scipy.integrate.ode
+    (or the same RK4 loop), bit for bit, signed zeros included.  The shared
+    output buffer would show here if a solver kept a returned array past its
+    next call, and the per-interval body choice if it missed a switch."""
+
+    GRID = np.linspace(0.0, 6e-9, 31)  # the output grid of the forward cases
+
+    @staticmethod
+    def reference(eom, phi0, phidot0, t_span, control, envelope, n_samples):
+        if control.method != "rk4":
+            return TestCompiledCodes.ode_oracle(eom, phi0, phidot0, t_span, control,
+                                                envelope, n_samples, list_rhs)
+        ramp = envelope.resolve_ramp(2 * math.pi / eom.drive_omega)
+        y = circuit._rk4_fixed(list_rhs(eom, envelope, ramp),
+                               np.linspace(*t_span, n_samples),
+                               np.array([phi0, phidot0]), control.fixed_step)
+        return y[:, ::-1] if t_span[1] < t_span[0] else y
+
+    CASES = {
+        # name: (drive uV, drive GHz, envelope, t_span, step control, phi0, phidot0)
+        "undriven": (0.0, 0.15, None, (0.0, 6e-9), StepControl(), 0.4, -3e9),
+        "always_on": (1.0, 0.15, None, (0.0, 6e-9), StepControl(), 0.0, 0.0),
+        "t_off_on_grid": (1.0, 0.15, DriveEnvelope(t_off=GRID[17], ramp_duration=0.0),
+                          (0.0, 6e-9), StepControl(), 0.0, 0.0),
+        "t_off_ulp_below_grid": (1.0, 0.15, DriveEnvelope(
+            t_off=float(np.nextafter(GRID[17], 0.0)), ramp_duration=0.0),
+            (0.0, 6e-9), StepControl(), 0.0, 0.0),
+        "t_off_ulp_above_grid": (1.0, 0.15, DriveEnvelope(
+            t_off=float(np.nextafter(GRID[17], 1.0)), ramp_duration=0.0),
+            (0.0, 6e-9), StepControl(), 0.0, 0.0),
+        "t_on_on_grid": (1.0, 0.15, DriveEnvelope(t_on=GRID[9], ramp_duration=0.0),
+                         (0.0, 6e-9), StepControl(), 0.0, 0.0),
+        "ramped": (1.0, 0.15, DriveEnvelope(t_on=1e-9, t_off=5e-9, ramp_duration=1e-9),
+                   (0.0, 6e-9), StepControl(), 0.0, 0.0),
+        "overlapping_ramps": (1.0, 0.15, DriveEnvelope(t_on=1e-9, t_off=3e-9,
+                                                       ramp_duration=1.5e-9),
+                              (0.0, 6e-9), StepControl(), 0.0, 0.0),
+        "backward": (1.0, 0.15, DriveEnvelope(t_on=1e-9, t_off=4e-9, ramp_duration=0.5e-9),
+                     (6e-9, 0.0), StepControl(), 0.1, 2e9),
+        "dopri5": (1.0, 0.15, DriveEnvelope(t_on=1e-9, t_off=4e-9, ramp_duration=0.0),
+                   (0.0, 6e-9), StepControl(method="rk45"), 0.0, 0.0),
+        "rk4": (1.0, 0.15, DriveEnvelope(t_on=1e-9, t_off=4e-9, ramp_duration=0.5e-9),
+                (0.0, 6e-9), StepControl(method="rk4", fixed_step=2e-12), 0.0, 0.0),
+        # The first trial step of each call may run max_step (1 ns) past its
+        # start, here across a switch 0.5 ns after the end of its interval.
+        "max_step_past_switch": (1.0, 0.15, DriveEnvelope(t_off=3.5e-9, ramp_duration=0.0),
+                                 (0.0, 6e-9), StepControl(max_step=1e-9), 0.0, 0.0),
+        # At rest with a rate of -0.0 and the drive off, force * 0.0 * cos
+        # can turn the rate to +0.0 where the undriven body keeps -0.0.
+        "minus_zero_rate": (1.0, 2.0, DriveEnvelope(t_on=8e-9, ramp_duration=0.0),
+                            (0.0, 4e-9), StepControl(method="rk45"), 0.0, -0.0),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bit_identical_to_list_rhs(self, case):
+        amplitude_uv, ghz, envelope, t_span, control, phi0, phidot0 = self.CASES[case]
+        drive = DriveWaveform.sinusoid(amplitude_uv * 1e-6, 2 * math.pi * ghz * 1e9)
+        eom = build_eom(fig3_params(), drive)
+        n_samples = 3 if case == "minus_zero_rate" else 31
+        traj = integrate_trajectory(eom, phi0, phidot0, t_span, control,
+                                    envelope=envelope, n_samples=n_samples)
+        ref = self.reference(eom, phi0, phidot0, t_span, control, envelope, n_samples)
+        if case == "minus_zero_rate":  # the drive never turns on
+            assert np.all(traj.delta_phi == 0.0) and np.signbit(ref[1]).all()
+        else:
+            assert np.max(np.abs(traj.delta_phi)) > 0.0
+        assert traj.delta_phi.tobytes() == ref[0].tobytes()
+        assert traj.delta_phi_dot.tobytes() == ref[1].tobytes()
 
 
 class TestPotentialLandscape:

@@ -346,6 +346,19 @@ class TestMainAndExitCodes:
         assert key in err and "numeric failure" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_circuit_invariant_is_config_error_naming_keys(self, tmp_path, capsys):
+        # CircuitParams requires c_sigma >= c_josephson; this used to exit 2
+        # as a numeric failure.
+        doc = tmp_path / "conf.json"
+        doc.write_text(json.dumps({"parameters": {"c_josephson_fF": 100.0}}))
+        out = tmp_path / "fig3.csv"
+        assert main(["fig3", "--config", str(doc), "--out", str(out)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("config error: c_sigma_fF, c_josephson_fF: ")
+        assert "c_sigma must be >= c_josephson" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("experiment, parameters, key", [
         # used to end in an IndexError traceback
         ("FloquetDecompose", {"waveform": "sampled", "frequency_MHz": 100.0,
