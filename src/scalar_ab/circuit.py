@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (E_CHARGE, HBAR, CircuitParams, DriveWaveform, Trajectory, _FieldDict,
-                   _readonly, _require, _strictly_increasing)
+from .core import (E_CHARGE, HBAR, CircuitParams, DriveWaveform, IntegrationError, Trajectory,
+                   _FieldDict, _readonly, _require, _strictly_increasing)
 
 __all__ = [
     "EomParams",
@@ -53,10 +53,6 @@ __all__ = [
     "flux_quantum_count",
     "harmonic_level_spacing",
 ]
-
-
-class IntegrationError(RuntimeError):
-    """Raised when the ODE integrator fails (stiffness, step underflow, NaN)."""
 
 
 @dataclass(frozen=True)
@@ -92,12 +88,20 @@ class DriveEnvelope:
     The switch-off at ``t_off`` uses a raised-cosine ramp of
     ``ramp_duration`` seconds ending at t_off (``ramp_duration=None`` means
     5 drive periods, resolved at integration time; 0.0 means an
-    instantaneous switch).  ``t_on`` turns the drive on the same way.
+    instantaneous switch).  ``t_on`` turns the drive on the same way.  A
+    negative ramp and a ``t_off`` not later than ``t_on`` are rejected.
     """
 
     t_on: float = 0.0
     t_off: float | None = None
     ramp_duration: float | None = None
+
+    def __post_init__(self) -> None:
+        _require(self.ramp_duration is None or self.ramp_duration >= 0.0,
+                 "DriveEnvelope.ramp_duration must be None or non-negative")
+        _require(self.t_off is None or self.t_off > self.t_on,
+                 "DriveEnvelope.t_off must be later than t_on (the drive would never "
+                 "turn on)")
 
     def resolve_ramp(self, drive_period: float) -> float:
         if self.ramp_duration is not None:

@@ -32,6 +32,12 @@ __all__ = [
 ]
 
 
+class IntegrationError(RuntimeError):
+    """Raised when the ODE integrator fails (stiffness, step underflow, NaN).
+    Defined here, not in ``circuit``, so that a caller can catch it without
+    importing the integrator."""
+
+
 def _require(condition: bool, invariant: str) -> None:
     """Raise ValueError naming the violated invariant."""
     if not condition:
@@ -143,11 +149,12 @@ class CircuitParams(_FieldDict):
         phi_sq = (HBAR / (2.0 * E_CHARGE)) ** 2  # (hbar/2e)^2, J*H
 
         def _pair(energy: float, reactance: float, e_name: str, x_name: str) -> tuple[float, float]:
-            if energy <= 0.0 and reactance <= 0.0:
+            # only 0.0 means "not given": a negative value reaches the checks below
+            if energy == 0.0 and reactance == 0.0:
                 return 0.0, 0.0
-            if reactance <= 0.0:
+            if reactance == 0.0:
                 return energy, phi_sq / energy
-            if energy <= 0.0:
+            if energy == 0.0:
                 return phi_sq / reactance, reactance
             _require(abs(energy * reactance - phi_sq) <= 1e-9 * phi_sq,
                      f"CircuitParams.{e_name} inconsistent with {x_name} "
@@ -240,7 +247,7 @@ class DriveWaveform(_FieldDict):
     def sampled(cls, times: Sequence[float], values: Sequence[float],
                 period: float | None = None) -> "DriveWaveform":
         _require(len(times) == len(values),
-                 f"DriveWaveform.sampled needs as many values as times "
+                 f"DriveWaveform.sampled needs times and values of equal length "
                  f"(got {len(times)} times and {len(values)} values)")
         _require(len(times) >= 2,
                  f"DriveWaveform.sampled needs >= 2 samples (got {len(times)})")

@@ -15,14 +15,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
-from .ab_phase import PhaseHistory
 from .core import (C_LIGHT, G_NEWTON, HBAR, PLANCK_H, MassShell, TwoLevelAtom,
                    _check_norm, _Lines, _require)
 from .spectral import _bessel_row, _check_bessel_arg, required_truncation
+
+if TYPE_CHECKING:
+    from .ab_phase import PhaseHistory
 
 __all__ = [
     "TransitionSpectrum",

@@ -20,12 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from .ab_phase import PhaseHistory
 from .core import HBAR, DriveWaveform, SidebandSpectrum, _check_norm, _Coefficients, _require
+
+if TYPE_CHECKING:
+    from .ab_phase import PhaseHistory
 
 __all__ = [
     "FloquetDecomposition",

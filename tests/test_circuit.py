@@ -71,6 +71,26 @@ class TestBuildEom:
             build_eom(fig3_params(), sampled)
 
 
+class TestDriveEnvelope:
+    @pytest.mark.parametrize("ramp", [None, 0.0, 1e-9])
+    def test_accepts_a_ramp_that_is_none_or_non_negative(self, ramp):
+        assert DriveEnvelope(t_on=1e-9, t_off=2e-9, ramp_duration=ramp).ramp_duration == ramp
+
+    @pytest.mark.parametrize("ramp", [-1e-9, -0.0 - 5e-324, math.nan])
+    def test_rejects_a_negative_ramp(self, ramp):
+        # a negative ramp used to run as an instant switch
+        with pytest.raises(ValueError, match="ramp_duration must be None or non-negative"):
+            DriveEnvelope(t_off=12e-9, ramp_duration=ramp)
+
+    @pytest.mark.parametrize("t_on, t_off", [(0.0, 0.0), (8e-9, 5e-9), (0.0, -1e-9)])
+    def test_rejects_t_off_not_later_than_t_on(self, t_on, t_off):
+        with pytest.raises(ValueError, match="t_off must be later than t_on"):
+            DriveEnvelope(t_on=t_on, t_off=t_off)
+
+    def test_t_on_alone_is_valid(self):
+        assert DriveEnvelope(t_on=5e-9).t_off is None
+
+
 class TestIntegrateTrajectory:
     def test_harmonic_solution(self):
         eom = build_eom(fig3_params(e_josephson=0.0), None)

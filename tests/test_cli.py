@@ -1,6 +1,7 @@
 """Config parsing strictness, preset expansion, experiment dispatch, output
 schemas, exit codes, and byte-level determinism."""
 
+import ast
 import csv
 import json
 import math
@@ -135,6 +136,16 @@ class TestParseConfig:
                                "species": [{"species": "quark", "count": 1.0}]}}
         with pytest.raises(ConfigError, match="species must be one of"):
             parse_config(json.dumps(base))
+
+    def test_species_count_lists_of_unequal_length_rejected(self):
+        # zip used to drop the unpaired entries and run silently
+        doc = {"experiment": "BulkPhase",
+               "parameters": {"drive_amplitude_uV": 1.0, "drive_frequency_MHz": 150.0,
+                              "t_end_ns": 10.0,
+                              "species": [{"species": "electron", "counts_t_ns": [0, 10, 20],
+                                           "counts_n": [1e9, 2e9]}]}}
+        with pytest.raises(ConfigError, match="entry 0: .*of equal length"):
+            parse_config(doc)
 
     def test_format_must_match_experiment_kind(self):
         with pytest.raises(ConfigError, match="only format 'csv'"):
@@ -359,6 +370,24 @@ class TestMainAndExitCodes:
         assert "c_sigma must be >= c_josephson" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("target, overrides, key", [
+        # these used to run silently: as E_J = 0 (fig3 wrote the bytes of 0,
+        # fig4 found 1 minimum instead of 5) and as an instant switch
+        ("fig3", {"e_josephson_GHz": -25}, "e_josephson_GHz"),
+        ("fig4", {"e_josephson_GHz": -25}, "e_josephson_GHz"),
+        ("fig3", {"drive_switch": "ramp", "ramp_periods": -3}, "ramp_periods"),
+    ])
+    def test_value_type_invariant_is_config_error_naming_its_key(self, tmp_path, capsys,
+                                                                  target, overrides, key):
+        doc = tmp_path / "conf.json"
+        doc.write_text(json.dumps({"parameters": overrides}))
+        out = tmp_path / "out"
+        assert main([target, "--config", str(doc), "--out", str(out)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith(f"config error: {key}: invariant violated: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("experiment, parameters, key", [
         # used to end in an IndexError traceback
         ("FloquetDecompose", {"waveform": "sampled", "frequency_MHz": 100.0,
@@ -441,6 +470,23 @@ class TestMainAndExitCodes:
         assert err.startswith("numeric failure:")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert (tmp_path / "good_out.json").exists()
+
+    def test_sweep_builds_every_config_before_running_any(self, tmp_path, capsys):
+        # The second config breaks a CircuitParams invariant; this used to
+        # surface only after the first config had written its output.
+        good = tmp_path / "a.json"
+        good.write_text(json.dumps(
+            {"experiment": "ElectricSidebands",
+             "parameters": {"drive_amplitude_uV": 1.0, "drive_frequency_MHz": 150.0},
+             "output": {"path": str(tmp_path / "a_out.json")}}))
+        bad = tmp_path / "b.json"
+        bad.write_text(json.dumps(circuit_config(tmp_path / "b_out.csv", c_josephson_fF=100.0)))
+        assert main(["--sweep", str(good), str(bad)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("config error: c_sigma_fF, c_josephson_fF: ")
+        assert not (tmp_path / "a_out.json").exists()
+        assert not (tmp_path / "b_out.csv").exists()
 
     def test_sweep_rejects_colliding_outputs(self, tmp_path, capsys):
         conf = tmp_path / "one.json"
@@ -570,6 +616,75 @@ assert "scipy.integrate" not in sys.modules, scipy_modules()
         run_fresh(code, tmp_path)
         for name in ("fig3", "a", "b"):
             assert (tmp_path / f"{name}.csv").stat().st_size > 0
+
+
+# Prints the scalar_ab modules loaded after importing scalar_ab.cli and, if
+# TARGET is not None, running it.
+MODULES_AFTER_RUN = """
+import json, sys
+from scalar_ab.cli import main
+if TARGET is not None:
+    assert main([TARGET, "--out", "out"]) == 0
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.startswith("scalar_ab.") and m != "scalar_ab.cli")))
+"""
+
+
+class TestRunImports:
+    @pytest.mark.parametrize("target, modules", [
+        (None, ["core"]),
+        ("fig3", ["circuit", "core"]),
+        ("fig4", ["circuit", "core"]),
+        ("earth-shell", ["core", "redshift", "spectral"]),
+        ("supernova-shell", ["ab_phase", "core", "redshift", "spectral"]),
+    ])
+    def test_a_run_imports_only_the_physics_modules_it_uses(self, tmp_path, target, modules):
+        out = run_fresh(f"TARGET = {target!r}\n" + MODULES_AFTER_RUN, tmp_path)
+        assert json.loads(out.splitlines()[-1]) == [f"scalar_ab.{m}" for m in modules]
+
+
+# numpy's BLAS entry points.  The CLI starts OpenBLAS with one thread (see
+# the top of cli.py), which costs nothing only while scalar_ab makes no BLAS
+# call: in a process running OpenBLAS's default thread pool, each call leaves
+# the pool spinning, which doubled the CPU time of the benchmark's phase
+# worker when a norm check used np.vdot.
+BLAS_CALLS = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum"}
+
+
+def blas_uses(source):
+    """(line, what) for each BLAS use in ``source``: the ``@`` operator, a
+    call named in BLAS_CALLS, or anything under ``linalg``."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            yield node.lineno, "@"
+        elif isinstance(node, ast.Call):
+            name = ast.unparse(node.func)
+            if name.split(".")[-1] in BLAS_CALLS or "linalg" in name.split("."):
+                yield node.lineno, name
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or "", *(a.name for a in node.names)]
+            if any("linalg" in n.split(".") for n in names):
+                yield node.lineno, "import linalg"
+
+
+class TestNoBlasCall:
+    @pytest.mark.parametrize("source", [
+        "c = a @ b", "a @= b", "np.dot(a, b)", "x.vdot(y)", "np.inner(a, b)",
+        "np.matmul(a, b)", "np.tensordot(a, b)", "np.einsum('i,i', a, b)",
+        "np.linalg.norm(v)", "from numpy.linalg import norm", "import numpy.linalg",
+        "from numpy import linalg"])
+    def test_detector_finds_each_kind_of_use(self, source):
+        assert list(blas_uses(source))
+
+    def test_detector_passes_elementwise_code(self):
+        assert not list(blas_uses("inner = [k for k in knots]\nnp.sum(a * b)\nabs(x)"))
+
+    def test_scalar_ab_makes_no_blas_call(self):
+        package = Path(scalar_ab.__file__).parent
+        uses = {path.name: list(blas_uses(path.read_text(encoding="utf-8")))
+                for path in sorted(package.glob("*.py"))}
+        assert len(uses) >= 7
+        assert {name: found for name, found in uses.items() if found} == {}
 
 
 class TestDeterminism:

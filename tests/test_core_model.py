@@ -74,6 +74,21 @@ class TestCircuitParams:
         with pytest.raises(ValueError, match="c_sigma must be >= c_josephson"):
             make_circuit_params(c_josephson=1e-12)
 
+    @pytest.mark.parametrize("overrides, message", [
+        # a negative energy used to pass as "not given", i.e. E_J = 0
+        ({"e_josephson": -25e9 * H}, "e_josephson must be non-negative"),
+        ({"e_josephson": 0.0, "l_josephson": -1e-9}, "e_josephson must be non-negative"),
+        ({"inductance": 0.0, "e_inductive": -1e9 * H},
+         r"inductance \(or e_inductive\) must be strictly positive")])
+    def test_rejects_negative_energy_or_reactance(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            make_circuit_params(**overrides)
+
+    def test_zero_means_not_given(self):
+        p = make_circuit_params(e_josephson=0.0, l_josephson=0.0)
+        assert (p.e_josephson, p.l_josephson) == (0.0, 0.0)
+        assert make_circuit_params(e_josephson=-0.0).l_josephson == 0.0
+
     def test_round_trip(self):
         p = make_circuit_params()
         again = CircuitParams.from_dict(json.loads(json.dumps(p.to_dict())))
