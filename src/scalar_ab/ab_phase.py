@@ -4,17 +4,15 @@ The phase picked up by a charge q in a spatially uniform potential V(t) is
 (q/hbar) * integral V dt; the gravitational analogue integrates m(t)*Phi(t).
 Every integrand has a closed-form integral: a drive is a sinusoid or the
 periodic piecewise-linear interpolant of its samples, and mass, potential
-and species-count histories are piecewise linear.  With a positive
-``rel_tol`` (the default) each function returns that exact integral, which
-meets any tolerance; ``rel_tol=None`` returns the composite trapezoid on the
-supplied grid instead (second order in the grid step).
+and species-count histories are piecewise linear.  Each function returns
+that exact integral.  Their ``rel_tol`` keyword is accepted and ignored: an
+exact integral meets any tolerance.
 
 All functions are pure and re-entrant; inputs and outputs are immutable.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -22,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (E_CHARGE, HBAR, DriveWaveform, _FieldDict, _readonly, _require,
-                   _strictly_increasing)
+                   _strictly_increasing, _write_csv)
 
 __all__ = [
     "PhaseHistory",
@@ -33,9 +31,6 @@ __all__ = [
     "net_bulk_phase",
     "write_phase_csv",
 ]
-
-DEFAULT_QUADRATURE_REL_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class PhaseHistory(_FieldDict):
@@ -123,21 +118,8 @@ def _history(history: Sequence[tuple[float, float]], t_grid: np.ndarray,
     return ts, vs
 
 
-def _exact(rel_tol: float | None) -> bool:
-    """True for the exact integral (any positive ``rel_tol``), False for the
-    raw trapezoid on the supplied grid (``rel_tol=None``)."""
-    if rel_tol is None:
-        return False
-    _require(rel_tol > 0.0, "quadrature rel_tol must be positive")
-    return True
-
-
 def _cumsum0(pieces: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(pieces)))
-
-
-def _cumtrapz(values: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    return _cumsum0(0.5 * (values[1:] + values[:-1]) * np.diff(nodes))
 
 
 def _merged_nodes(grid: np.ndarray, *knots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -168,69 +150,54 @@ def _drive_knots(voltage: DriveWaveform, grid: np.ndarray) -> np.ndarray:
 
 def accumulate_electric_phase(charge: float, voltage: DriveWaveform,
                               t_grid: Sequence[float],
-                              rel_tol: float | None = DEFAULT_QUADRATURE_REL_TOL,
-                              ) -> PhaseHistory:
+                              rel_tol: float | None = None) -> PhaseHistory:
     """Phase (charge/hbar) * integral of V(t) from the start of the grid.
 
     For a zero-mean sinusoidal drive V0*cos(omega*t) starting at t=0 the
     result is alpha*sin(omega*t) with FM modulation depth
-    alpha = charge*V0/(hbar*omega).  A positive ``rel_tol`` gives the exact
-    integral through ``voltage.antiderivative``; ``rel_tol=None`` gives the
-    composite trapezoid on ``t_grid``.
+    alpha = charge*V0/(hbar*omega).  The integral is exact, through
+    ``voltage.antiderivative``.
     """
     grid = _validate_grid(t_grid)
-    exact = _exact(rel_tol)
     if charge == 0.0:
         return PhaseHistory(times=grid, phase=np.zeros_like(grid))
-    if exact:
-        integral = voltage.antiderivative(grid)
-        integral = integral - integral[0]
-    else:
-        integral = _cumtrapz(voltage.value(grid), grid)
+    integral = voltage.antiderivative(grid)
+    integral = integral - integral[0]
     return PhaseHistory(times=grid, phase=(charge / HBAR) * integral)
 
 
 def accumulate_grav_phase(mass_history: Sequence[tuple[float, float]],
                           potential_history: Sequence[tuple[float, float]],
                           t_grid: Sequence[float],
-                          rel_tol: float | None = DEFAULT_QUADRATURE_REL_TOL,
-                          ) -> PhaseHistory:
+                          rel_tol: float | None = None) -> PhaseHistory:
     """Phase (1/hbar) * integral of m(t)*Phi(t) dt over the grid.
 
-    Both histories are linearly interpolated and must cover the grid span.
-    A positive ``rel_tol`` gives the exact integral of that product (on the
-    grid merged with both histories' knots); ``rel_tol=None`` gives the
-    composite trapezoid on ``t_grid``.
+    Both histories are linearly interpolated and must cover the grid span;
+    their product is integrated exactly on the grid merged with both
+    histories' knots.
     """
     grid = _validate_grid(t_grid)
     mass_t, mass = _history(mass_history, grid, "mass")
     _require(bool(np.all(mass >= 0.0)), "mass history values must be non-negative")
     pot_t, pot = _history(potential_history, grid, "potential")
-    if _exact(rel_tol):
-        nodes, at_grid = _merged_nodes(grid, mass_t, pot_t)
-        integral = _pwl_product_integral(nodes, np.interp(nodes, mass_t, mass),
-                                         np.interp(nodes, pot_t, pot))[at_grid]
-    else:
-        integral = _cumtrapz(np.interp(grid, mass_t, mass) * np.interp(grid, pot_t, pot),
-                             grid)
+    nodes, at_grid = _merged_nodes(grid, mass_t, pot_t)
+    integral = _pwl_product_integral(nodes, np.interp(nodes, mass_t, mass),
+                                     np.interp(nodes, pot_t, pot))[at_grid]
     return PhaseHistory(times=grid, phase=integral / HBAR)
 
 
 def net_bulk_phase(species: Sequence[SpeciesCount], voltage: DriveWaveform,
                    t_grid: Sequence[float],
-                   rel_tol: float | None = DEFAULT_QUADRATURE_REL_TOL,
-                   ) -> PhaseHistory:
+                   rel_tol: float | None = None) -> PhaseHistory:
     """Signed sum of per-species phases (q_s/hbar) * integral N_s(t) V(t) dt.
 
     Per-unit charges follow the bulk sign convention (+2e Cooper pair,
     +e electron, -e ion), so a charge-neutral bulk accumulates zero net
     phase.  The species are first summed into one piecewise-linear charge
-    history Q(t) = sum_s q_s N_s(t), whose product with V is integrated.
-    A positive ``rel_tol`` gives the exact integral: piece by piece in
-    closed form for a sinusoid, and on the grid merged with the unrolled
-    drive knots for a sampled drive (so its cost grows with the number of
-    drive periods the grid spans).  ``rel_tol=None`` gives the composite
-    trapezoid on ``t_grid``.
+    history Q(t) = sum_s q_s N_s(t), whose product with V is integrated
+    exactly: piece by piece in closed form for a sinusoid, and on the grid
+    merged with the unrolled drive knots for a sampled drive (so its cost
+    grows with the number of drive periods the grid spans).
     """
     _require(len(species) >= 1, "net_bulk_phase needs at least one species")
     grid = _validate_grid(t_grid)
@@ -240,9 +207,7 @@ def net_bulk_phase(species: Sequence[SpeciesCount], voltage: DriveWaveform,
         return sum(s.charge_per_unit * np.interp(t, ts, ns)
                    for s, (ts, ns) in zip(species, counts))
 
-    if not _exact(rel_tol):
-        integral = _cumtrapz(charge(grid) * voltage.value(grid), grid)
-    elif voltage.is_sinusoid:
+    if voltage.is_sinusoid:
         # Where Q has slope dQ/h on a piece of length h, the integral of
         # Q*cos(theta) is [Q*sin(theta)]/w + (dQ/h)*[cos(theta)]/w**2; the last
         # term is written -dQ*sin(theta_mid)*sinc(w*h/2)/w to keep its digits
@@ -263,8 +228,4 @@ def net_bulk_phase(species: Sequence[SpeciesCount], voltage: DriveWaveform,
 
 def write_phase_csv(history: PhaseHistory, path: str) -> None:
     """CSV export: header row, columns t_seconds, phase_rad, 17 digits."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_seconds", "phase_rad"])
-        for t, p in zip(history.times, history.phase):
-            writer.writerow([f"{t:.17g}", f"{p:.17g}"])
+    _write_csv(path, ("t_seconds", "phase_rad"), history.times, history.phase)

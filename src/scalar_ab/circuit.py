@@ -108,26 +108,6 @@ class DriveEnvelope:
             return self.ramp_duration
         return 5.0 * drive_period
 
-    def value(self, t: "float | np.ndarray", ramp: float) -> "float | np.ndarray":
-        tt = np.asarray(t, dtype=float)
-        out = np.ones_like(tt)
-        if ramp > 0.0:
-            rising = (tt > self.t_on) & (tt < self.t_on + ramp)
-            out = np.where(tt <= self.t_on, 0.0, out)
-            out = np.where(rising, 0.5 * (1.0 - np.cos(np.pi * (tt - self.t_on) / ramp)), out)
-        else:
-            out = np.where(tt < self.t_on, 0.0, out)
-        if self.t_off is not None:
-            if ramp > 0.0:
-                falling = (tt > self.t_off - ramp) & (tt < self.t_off)
-                out = np.where(falling,
-                               out * 0.5 * (1.0 + np.cos(np.pi * (tt - (self.t_off - ramp)) / ramp)),
-                               out)
-                out = np.where(tt >= self.t_off, 0.0, out)
-            else:
-                out = np.where(tt >= self.t_off, 0.0, out)
-        return out if np.ndim(t) else float(out)
-
 
 @dataclass(frozen=True)
 class StepControl:

@@ -4,7 +4,7 @@ table that runs every experiment, and deterministic file output.
 A config is a JSON object with the sections ``experiment``, ``parameters``
 (the experiment's keys, each with its unit in its name; frequencies are
 cycles per second), ``output`` (``path``, ``format``) and ``numerics``
-(``rel_tol``, ``abs_tol``, ``truncation_n``, ``seed``).  Identical configs
+(``rel_tol``, ``abs_tol``, ``truncation_n``).  Identical configs
 write identical bytes.
 
 Each experiment is one :class:`Experiment` in ``EXPERIMENTS``: its keys and
@@ -85,7 +85,6 @@ class Numerics:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     truncation_n: int | None = None
-    seed: int | None = None  # reserved; no experiment draws random numbers
 
 
 @dataclass(frozen=True)
@@ -102,7 +101,6 @@ _NUMERICS_KEYS = {  # a key left out takes the Numerics default
     "rel_tol": KeySpec("number", "relative tolerance", positive=True),
     "abs_tol": KeySpec("number", "absolute tolerance", positive=True),
     "truncation_n": KeySpec("int", "spectral truncation, null = automatic", minimum=0),
-    "seed": KeySpec("int", "reserved, unused"),
 }
 
 
@@ -124,8 +122,12 @@ def _make(make: Callable[..., Any], keys: Mapping[str, str], **args: Any) -> Any
         raise ConfigError(f"{', '.join(dict.fromkeys(keys[n] for n in named))}: {exc}") from exc
 
 
-def _ghz_to_joule(value: float) -> float:
-    return value * 1e9 * PLANCK_H
+def _ghz_to_joule(value: float, key: str) -> float:
+    """``value`` GHz*h in joules; a non-zero value that underflows to 0 J is rejected."""
+    joule = value * 1e9 * PLANCK_H
+    if joule == 0.0 and value != 0.0:
+        raise ConfigError(f"key '{key}' ({value!r} GHz) underflows to 0 J")
+    return joule
 
 
 def _write_json(path: str, payload: Mapping[str, Any]) -> None:
@@ -176,7 +178,7 @@ def _circuit_params(p: Mapping[str, Any]) -> CircuitParams:
     keys = {key.rsplit("_", 1)[0]: key for key in (*_CIRCUIT_ELEMENT_KEYS, "e_inductive_GHz")
             if key in p}
     return _make(CircuitParams, keys, **{
-        name: _ghz_to_joule(p[key]) if key.endswith("_GHz")
+        name: _ghz_to_joule(p[key], key) if key.endswith("_GHz")
         else p[key] * (1e-9 if key.endswith("_nH") else 1e-15)
         for name, key in keys.items()})
 
@@ -291,16 +293,18 @@ def _build_floquet(p: Mapping[str, Any], numerics: Numerics) -> SimpleNamespace:
     omega = 2.0 * math.pi * p["frequency_MHz"] * 1e6
     if p["waveform"] == "sinusoid":
         potential = _make(DriveWaveform.sinusoid, keys, omega=omega, phase0=p["phase0_rad"],
-                          amplitude=_ghz_to_joule(p["u0_over_h_GHz"]))
+                          amplitude=_ghz_to_joule(p["u0_over_h_GHz"], "u0_over_h_GHz"))
     else:
         potential = _make(DriveWaveform.sampled, keys,
                           times=[t * 1e-9 for t in p["samples_t_ns"]],
-                          values=[_ghz_to_joule(u) for u in p["samples_u_over_h_GHz"]])
+                          values=[_ghz_to_joule(u, "samples_u_over_h_GHz")
+                                  for u in p["samples_u_over_h_GHz"]])
         expected = 2.0 * math.pi / omega
         if abs(potential.period - expected) > 1e-9 * expected:
             raise ConfigError("sample span must equal one period of frequency_MHz")
     return SimpleNamespace(potential=potential, truncation=numerics.truncation_n,
-                           base_energy=_ghz_to_joule(p["base_energy_over_h_GHz"]),
+                           base_energy=_ghz_to_joule(p["base_energy_over_h_GHz"],
+                                                     "base_energy_over_h_GHz"),
                            residual_tol=p["residual_tol"])
 
 
@@ -357,8 +361,7 @@ def _grav_redshift(i: SimpleNamespace) -> Any:
     redshift = _lib("redshift")
     if i.mode == "exploding-shell":
         potential = redshift.exploding_shell_potential(i.shell_mass, i.radius, i.grid)
-        return _lib("ab_phase").accumulate_grav_phase(i.mass_history, potential, i.grid,
-                                                      rel_tol=None)
+        return _lib("ab_phase").accumulate_grav_phase(i.mass_history, potential, i.grid)
     indices = redshift.modulation_indices(i.atom, i.shell)
     truncation = i.truncation
     if truncation is None:

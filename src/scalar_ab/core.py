@@ -55,6 +55,15 @@ def _readonly(values: Iterable[float], dtype: Any = float) -> np.ndarray:
     return arr
 
 
+def _write_csv(path: str, header: Sequence[str], *columns: np.ndarray) -> None:
+    """The CSV schema of every output table: a header row, then one row per
+    sample with each value to 17 significant digits (it round-trips)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([f"{v:.17g}" for v in row] for row in zip(*columns))
+
+
 def _plain(value: Any) -> Any:
     """``value`` as JSON holds it: arrays and tuples become lists, mappings
     dicts, all the way down."""
@@ -325,11 +334,8 @@ class Trajectory(_FieldDict):
 
     def to_csv(self, path: str) -> None:
         """Write the mandated CSV schema: header row, 17 significant digits."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t_seconds", "delta_phi_rad", "delta_phi_dot_rad_per_s"])
-            for t, p, pd in zip(self.times, self.delta_phi, self.delta_phi_dot):
-                writer.writerow([f"{t:.17g}", f"{p:.17g}", f"{pd:.17g}"])
+        _write_csv(path, ("t_seconds", "delta_phi_rad", "delta_phi_dot_rad_per_s"),
+                   self.times, self.delta_phi, self.delta_phi_dot)
 
 
 class _Rows:

@@ -343,6 +343,9 @@ class TestMainAndExitCodes:
         ("earth-shell", {"m1_kg": 1e30}, "m1_kg"),
         ("fig4", {"phi_min_rad": 5, "phi_max_rad": -5}, "phi_max_rad"),
         ("fig3", {"c_josephson_fF": -100}, "c_josephson_fF"),
+        # these used to underflow to 0 J and run silently as E_J = 0
+        ("fig3", {"e_josephson_GHz": 1e-300}, "e_josephson_GHz"),
+        ("fig3", {"e_josephson_GHz": 5e-324}, "e_josephson_GHz"),
     ])
     def test_bad_value_is_config_error(self, tmp_path, capsys, target, overrides, key):
         experiment = PRESETS[target]["experiment"]
@@ -356,6 +359,23 @@ class TestMainAndExitCodes:
         assert len(err.strip().splitlines()) == 1
         assert key in err and "numeric failure" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_tiny_energy_that_converts_still_runs(self, tmp_path, capsys):
+        doc = tmp_path / "conf.json"
+        doc.write_text(json.dumps({"parameters": {"e_josephson_GHz": 1e-290, "t_end_ns": 1.0}}))
+        out = tmp_path / "fig3.csv"
+        assert main(["fig3", "--config", str(doc), "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == "" and out.exists()
+
+    def test_numerics_seed_is_unknown_key(self, tmp_path, capsys):
+        doc = tmp_path / "conf.json"
+        doc.write_text(json.dumps({"numerics": {"seed": 1}}))
+        out = tmp_path / "fig3.csv"
+        assert main(["fig3", "--config", str(doc), "--out", str(out)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("config error: unknown key 'seed' in numerics")
+        assert not out.exists()
 
     def test_circuit_invariant_is_config_error_naming_keys(self, tmp_path, capsys):
         # CircuitParams requires c_sigma >= c_josephson; this used to exit 2
