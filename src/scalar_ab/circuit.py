@@ -164,10 +164,12 @@ def build_eom(params: CircuitParams, drive: DriveWaveform | None) -> EomParams:
 
 def specific_energy(eom: EomParams, phi: "float | np.ndarray",
                     phi_dot: "float | np.ndarray") -> "float | np.ndarray":
-    """Conserved energy of the undriven system (per effective mass, s^-2)."""
+    """Conserved energy of the undriven system (per effective mass, s^-2).
+    The Josephson term 1 - cos(phi) is computed as 2*sin(phi/2)^2, which
+    keeps its digits at small phi."""
     out = (0.5 * np.asarray(phi_dot) ** 2
            + 0.5 * eom.omega_c ** 2 * np.asarray(phi) ** 2
-           + eom.nonlinear_coeff * (1.0 - np.cos(phi)))
+           + eom.nonlinear_coeff * 2.0 * np.sin(0.5 * np.asarray(phi)) ** 2)
     return out if np.ndim(phi) or np.ndim(phi_dot) else float(out)
 
 

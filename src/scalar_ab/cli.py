@@ -1,20 +1,24 @@
 """Command-line front end: strict config parsing, experiment presets, one
-table that runs every experiment, and deterministic file output.
+table that runs every experiment, and deterministic file output.  Apart
+from the electric modulation depth q*V0/(hbar*omega), it only converts
+units: the physics lives in the library modules.
 
 A config is a JSON object with the sections ``experiment``, ``parameters``
 (the experiment's keys, each with its unit in its name; frequencies are
-cycles per second), ``output`` (``path``, ``format``) and ``numerics``
-(``rel_tol``, ``abs_tol``, ``truncation_n``).  Identical configs
-write identical bytes.
+cycles per second), ``output`` (``path``, ``format``) and ``numerics`` (the
+keys the experiment reads: ``rel_tol`` and ``abs_tol`` for CircuitDynamics,
+``truncation_n`` for ElectricSidebands, FloquetDecompose and GravRedshift,
+none for the others).  Identical configs write identical bytes.
 
 Each experiment is one :class:`Experiment` in ``EXPERIMENTS``: its keys and
 the stages of a run, build -> kernel -> write.  :func:`parse_config` checks
 only what a schema can say (type, finiteness, sign or minimum, choices,
-required keys, output format), then builds the library's value types.  They
-own every other invariant: a ``ValueError`` from one is a :class:`ConfigError`
-naming the keys of the fields in its message, or else every key that fed it.
-So a negative ``e_josephson_GHz`` or ``ramp_periods`` is a config error, not
-E_J = 0 or an instant switch.  An experiment imports its modules when it runs.
+required keys, output format, an output path in an existing directory), then
+builds the library's value types.  They own every other invariant: a
+``ValueError`` from one is a :class:`ConfigError` naming the keys of the
+fields in its message, or else every key that fed it.  So a negative
+``e_josephson_GHz`` or ``ramp_periods`` is a config error, not E_J = 0 or an
+instant switch.  An experiment imports its modules when it runs.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "run_experiment", 
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 1
 EXIT_NUMERIC_FAILURE = 2
+EXIT_DEPENDENCY_ERROR = 3  # the installed scipy cannot run the integrator
 
 
 class ConfigError(ValueError):
@@ -67,24 +72,19 @@ class KeySpec:
 @dataclass(frozen=True)
 class Experiment:
     """One experiment's keys and stages: ``build(params, numerics)`` makes
-    the kernel's inputs, ``kernel(inputs)`` the result, ``write(result,
-    path)`` the ``output`` file ("csv" or "json"), and ``summary(inputs,
-    result)`` the line printed after it."""
+    the kernel's inputs from the checked ``keys`` and ``numerics`` values,
+    ``kernel(inputs)`` the result, ``write(result, path)`` the ``output``
+    file ("csv" or "json"), and ``summary(inputs, result)`` the line printed
+    after it."""
 
     keys: Mapping[str, KeySpec]
     output: str
-    build: Callable[[Mapping[str, Any], Numerics], Any]
+    build: Callable[[Mapping[str, Any], Mapping[str, Any]], Any]
     kernel: Callable[[Any], Any]
     write: Callable[[Any, str], None]
     summary: Callable[[Any, Any], str]
+    numerics: Mapping[str, KeySpec] = field(default_factory=dict)  # the ones build reads
     aliases: Mapping[str, str] = field(default_factory=dict)  # misspellings -> keys
-
-
-@dataclass(frozen=True)
-class Numerics:
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    truncation_n: int | None = None
 
 
 @dataclass(frozen=True)
@@ -93,15 +93,15 @@ class ExperimentConfig:
     parameters: Mapping[str, Any]
     output_path: str
     output_format: str
-    numerics: Numerics = field(default_factory=Numerics)
+    numerics: Mapping[str, Any] = field(default_factory=dict)  # the numerics keys given
     inputs: Any = None  # what the experiment's build made of the parameters
 
 
-_NUMERICS_KEYS = {  # a key left out takes the Numerics default
-    "rel_tol": KeySpec("number", "relative tolerance", positive=True),
-    "abs_tol": KeySpec("number", "absolute tolerance", positive=True),
-    "truncation_n": KeySpec("int", "spectral truncation, null = automatic", minimum=0),
-}
+# The numerics keys, each read by the builds that list it; a tolerance not
+# given takes StepControl's default.
+_TOLERANCES = {"rel_tol": KeySpec("number", "relative tolerance", positive=True),
+               "abs_tol": KeySpec("number", "absolute tolerance", positive=True)}
+_TRUNCATION = {"truncation_n": KeySpec("int", "spectral truncation, null = automatic", minimum=0)}
 
 
 def _lib(name: str) -> Any:
@@ -202,7 +202,7 @@ _CIRCUIT_DYNAMICS_KEYS = {
 }
 
 
-def _build_circuit_dynamics(p: Mapping[str, Any], numerics: Numerics) -> SimpleNamespace:
+def _build_circuit_dynamics(p: Mapping[str, Any], numerics: Mapping[str, Any]) -> SimpleNamespace:
     circuit = _lib("circuit")
     keys = {"amplitude": "drive_amplitude_uV", "omega": "drive_frequency_MHz",
             "phase0": "drive_phase0_rad", "t_on": "drive_t_on_ns", "t_off": "drive_t_off_ns",
@@ -218,8 +218,7 @@ def _build_circuit_dynamics(p: Mapping[str, Any], numerics: Numerics) -> SimpleN
         envelope = _make(circuit.DriveEnvelope, keys, t_on=p["drive_t_on_ns"] * 1e-9,
                          t_off=None if t_off is None else t_off * 1e-9, ramp_duration=ramp)
     step = p.get("fixed_step_ns")
-    control = _make(circuit.StepControl, keys, rel_tol=numerics.rel_tol,
-                    abs_tol=numerics.abs_tol, method=p["method"],
+    control = _make(circuit.StepControl, keys, **numerics, method=p["method"],
                     fixed_step=None if step is None else step * 1e-9)
     return SimpleNamespace(p=p, params=params, drive=drive, envelope=envelope, control=control)
 
@@ -246,7 +245,7 @@ _LANDSCAPE_KEYS = {
 }
 
 
-def _build_landscape(p: Mapping[str, Any], numerics: Numerics) -> SimpleNamespace:
+def _build_landscape(p: Mapping[str, Any], numerics: Mapping[str, Any]) -> SimpleNamespace:
     if not p["phi_max_rad"] > p["phi_min_rad"]:  # no value type holds the range
         raise ConfigError(f"phi_max_rad ({p['phi_max_rad']:g}) must exceed "
                           f"phi_min_rad ({p['phi_min_rad']:g})")
@@ -287,7 +286,7 @@ _FLOQUET_KEYS = {
 }
 
 
-def _build_floquet(p: Mapping[str, Any], numerics: Numerics) -> SimpleNamespace:
+def _build_floquet(p: Mapping[str, Any], numerics: Mapping[str, Any]) -> SimpleNamespace:
     keys = {"amplitude": "u0_over_h_GHz", "omega": "frequency_MHz", "phase0": "phase0_rad",
             "times": "samples_t_ns", "values": "samples_u_over_h_GHz"}
     omega = 2.0 * math.pi * p["frequency_MHz"] * 1e6
@@ -302,49 +301,28 @@ def _build_floquet(p: Mapping[str, Any], numerics: Numerics) -> SimpleNamespace:
         expected = 2.0 * math.pi / omega
         if abs(potential.period - expected) > 1e-9 * expected:
             raise ConfigError("sample span must equal one period of frequency_MHz")
-    return SimpleNamespace(potential=potential, truncation=numerics.truncation_n,
+    return SimpleNamespace(potential=potential, truncation=numerics.get("truncation_n"),
                            base_energy=_ghz_to_joule(p["base_energy_over_h_GHz"],
                                                      "base_energy_over_h_GHz"),
                            residual_tol=p["residual_tol"])
 
 
-# GravRedshift: the sidebands of an atom in a modulated mass shell, or the
-# phase accumulated inside an exploding one.
-_SIDEBANDS = ("mode", "sidebands")
-_EXPLODING = ("mode", "exploding-shell")
-_GRAV_KEYS = {
-    "preset": KeySpec("string", "named parameter preset", choices=("earth-shell", "supernova-shell")),
-    "mode": KeySpec("string", "scenario", default="sidebands", choices=("sidebands", "exploding-shell")),
-    "m0_kg": KeySpec("number", "DC shell mass, kilograms", required=_SIDEBANDS),
-    "m1_kg": KeySpec("number", "AC shell mass amplitude, kilograms", required=_SIDEBANDS),
-    "radius_m": KeySpec("number", "shell radius, meters", required=_SIDEBANDS, positive=True),
+# GravRedshift: the sidebands of an atom in a modulated mass shell.
+_GRAV_REDSHIFT_KEYS = {
+    "preset": KeySpec("string", "named parameter preset", choices=("earth-shell",)),
+    "m0_kg": KeySpec("number", "DC shell mass, kilograms", required=True),
+    "m1_kg": KeySpec("number", "AC shell mass amplitude, kilograms", required=True),
+    "radius_m": KeySpec("number", "shell radius, meters", required=True, positive=True),
     "modulation_frequency_Hz": KeySpec("number", "shell modulation omega/2pi, hertz",
-                                       required=_SIDEBANDS, positive=True),
+                                       required=True, positive=True),
     "atom_rest_mass_kg": KeySpec("number", "lower-level rest mass, kilograms",
-                                 required=_SIDEBANDS, positive=True),
+                                 required=True, positive=True),
     "transition_energy_eV": KeySpec("number", "level splitting, electronvolts",
-                                    required=_SIDEBANDS, positive=True),
-    "shell_mass_kg": KeySpec("number", "fixed shell mass, kilograms (exploding mode)",
-                             required=_EXPLODING),
-    "radius_start_m": KeySpec("number", "initial shell radius, meters (exploding mode)",
-                              required=_EXPLODING, positive=True),
-    "expansion_speed_m_per_s": KeySpec("number", "radial speed, m/s (exploding mode)",
-                                       required=_EXPLODING),
-    "system_mass_kg": KeySpec("number", "enclosed system mass, kilograms (exploding mode)",
-                              required=_EXPLODING, positive=True),
-    "t_end_s": KeySpec("number", "phase accumulation window, seconds (exploding mode)",
-                       required=_EXPLODING, positive=True),
-    "n_samples": _N_SAMPLES,
+                                    required=True, positive=True),
 }
 
 
-def _build_grav(p: Mapping[str, Any], numerics: Numerics) -> SimpleNamespace:
-    if p["mode"] == "exploding-shell":
-        r0, v, mass = p["radius_start_m"], p["expansion_speed_m_per_s"], p["system_mass_kg"]
-        return SimpleNamespace(mode=p["mode"], shell_mass=p["shell_mass_kg"],
-                               radius=lambda t: r0 + v * t,
-                               grid=np.linspace(0.0, p["t_end_s"], p["n_samples"]),
-                               mass_history=[(0.0, mass), (p["t_end_s"], mass)])
+def _build_grav_redshift(p: Mapping[str, Any], numerics: Mapping[str, Any]) -> SimpleNamespace:
     keys = {"m0": "m0_kg", "m1": "m1_kg", "radius": "radius_m",
             "omega": "modulation_frequency_Hz", "rest_mass_i": "atom_rest_mass_kg",
             "transition_energy": "transition_energy_eV"}
@@ -352,27 +330,25 @@ def _build_grav(p: Mapping[str, Any], numerics: Numerics) -> SimpleNamespace:
                   omega=2.0 * math.pi * p["modulation_frequency_Hz"])
     atom = _make(TwoLevelAtom.from_transition, keys, rest_mass_i=p["atom_rest_mass_kg"],
                  transition_energy=p["transition_energy_eV"] * E_CHARGE)
-    return SimpleNamespace(mode=p["mode"], shell=shell, atom=atom,
-                           truncation=numerics.truncation_n)
+    return SimpleNamespace(atom=atom, shell=shell, truncation_n=numerics.get("truncation_n"))
 
 
-def _grav_redshift(i: SimpleNamespace) -> Any:
-    """The exploding shell's phase history, or the sideband record."""
-    redshift = _lib("redshift")
-    if i.mode == "exploding-shell":
-        potential = redshift.exploding_shell_potential(i.shell_mass, i.radius, i.grid)
-        return _lib("ab_phase").accumulate_grav_phase(i.mass_history, potential, i.grid)
-    indices = redshift.modulation_indices(i.atom, i.shell)
-    truncation = i.truncation
-    if truncation is None:
-        truncation = _lib("spectral").default_truncation(indices.delta_alpha)
-    spectrum = redshift.transition_sideband_spectrum(i.atom, i.shell, truncation)
-    local_f = i.atom.transition_energy / PLANCK_H
-    record = spectrum.to_dict()
-    record["alpha_i"] = indices.alpha_i
-    record["alpha_f"] = indices.alpha_f
-    record["carrier_fractional_shift"] = (local_f - spectrum.carrier_frequency) / local_f
-    return record
+# GravPhase: the phase accumulated inside an exploding mass shell.
+_GRAV_PHASE_KEYS = {
+    "preset": KeySpec("string", "named parameter preset", choices=("supernova-shell",)),
+    "shell_mass_kg": KeySpec("number", "fixed shell mass, kilograms", required=True),
+    "radius_start_m": KeySpec("number", "initial shell radius, meters", required=True, positive=True),
+    "expansion_speed_m_per_s": KeySpec("number", "radial speed, m/s", required=True),
+    "system_mass_kg": KeySpec("number", "enclosed system mass, kilograms", required=True, positive=True),
+    "t_end_s": KeySpec("number", "phase accumulation window, seconds", required=True, positive=True),
+    "n_samples": _N_SAMPLES,
+}
+
+
+def _build_grav_phase(p: Mapping[str, Any], numerics: Mapping[str, Any]) -> SimpleNamespace:
+    return SimpleNamespace(shell_mass=p["shell_mass_kg"], radius_start=p["radius_start_m"],
+                           speed=p["expansion_speed_m_per_s"], system_mass=p["system_mass_kg"],
+                           t_grid=np.linspace(0.0, p["t_end_s"], p["n_samples"]))
 
 
 # BulkPhase: the net phase of the species in a driven bulk.
@@ -384,7 +360,7 @@ _BULK_KEYS = {
 }
 
 
-def _build_bulk(p: Mapping[str, Any], numerics: Numerics) -> SimpleNamespace:
+def _build_bulk(p: Mapping[str, Any], numerics: Mapping[str, Any]) -> SimpleNamespace:
     ab_phase = _lib("ab_phase")
     keys = {"amplitude": "drive_amplitude_uV", "omega": "drive_frequency_MHz",
             "species": "species", "counts": "species"}
@@ -410,6 +386,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         summary=lambda i, result: (
             f"omega0/2pi={result[0].small_oscillation_frequency / (2e9 * math.pi):.4g} GHz "
             f"alpha={2.0 * E_CHARGE * i.drive.amplitude / (HBAR * i.drive.omega):.4g}"),
+        numerics=_TOLERANCES,
         aliases={**_DRIVE_ALIASES, "amplitude": "drive_amplitude_uV",
                  "v0": "drive_amplitude_uV", "omega": "drive_frequency_MHz",
                  "duration": "t_end_ns", "inductance": "inductance_nH"}),
@@ -421,9 +398,10 @@ EXPERIMENTS: dict[str, Experiment] = {
         aliases={"el": "e_inductive_GHz", "ej": "e_josephson_GHz"}),
     "ElectricSidebands": Experiment(
         _ELECTRIC_KEYS, "json", lambda p, numerics: SimpleNamespace(
-            p=p, truncation=numerics.truncation_n), _electric_sidebands,
+            p=p, truncation=numerics.get("truncation_n")), _electric_sidebands,
         write=lambda r, path: _write_json(path, r[1].to_dict()),
         summary=lambda i, r: f"alpha={r[0]:.6g} truncation_n={r[1].truncation_n}",
+        numerics=_TRUNCATION,
         aliases={**_DRIVE_ALIASES, "charge": "charge_in_e"}),
     "FloquetDecompose": Experiment(
         _FLOQUET_KEYS, "json", _build_floquet,
@@ -432,15 +410,20 @@ EXPERIMENTS: dict[str, Experiment] = {
         write=lambda d, path: _write_json(path, d.to_dict()),
         summary=lambda i, d: (f"quasi_energy/h={d.quasi_energy / PLANCK_H / 1e9:.6g} GHz "
                               f"truncation_n={d.truncation_n} residual={d.residual:.3g}"),
+        numerics=_TRUNCATION,
         aliases={"amplitude": "u0_over_h_GHz", "frequency": "frequency_MHz"}),
     "GravRedshift": Experiment(
-        _GRAV_KEYS, "json",  # "csv" in exploding-shell mode, which writes a phase history
-        _build_grav, _grav_redshift,
-        write=lambda r, path: _write_json(path, r) if isinstance(r, dict) else _write_phase(r, path),
-        summary=lambda i, r: _phase_summary(i, r) if not isinstance(r, dict) else (
-            f"delta_alpha={r['delta_alpha']:.6g} "
-            f"fractional_shift={r['carrier_fractional_shift']:.6g}"),
+        _GRAV_REDSHIFT_KEYS, "json", _build_grav_redshift,
+        lambda i: _lib("redshift").sideband_record(i.atom, i.shell, i.truncation_n),
+        write=lambda record, path: _write_json(path, record),
+        summary=lambda i, record: (f"delta_alpha={record['delta_alpha']:.6g} "
+                                   f"fractional_shift={record['carrier_fractional_shift']:.6g}"),
+        numerics=_TRUNCATION,
         aliases={"mass": "m0_kg", "radius": "radius_m", "frequency": "modulation_frequency_Hz"}),
+    "GravPhase": Experiment(
+        _GRAV_PHASE_KEYS, "csv", _build_grav_phase,
+        lambda i: _lib("redshift").exploding_shell_phase(**vars(i)),
+        write=_write_phase, summary=_phase_summary),
     "BulkPhase": Experiment(
         _BULK_KEYS, "csv", _build_bulk,
         lambda i: _lib("ab_phase").net_bulk_phase(i.species, i.drive, i.grid),
@@ -464,12 +447,12 @@ PRESETS: dict[str, dict[str, Any]] = {
                             "phi_min_rad": -4.0 * math.pi, "phi_max_rad": 4.0 * math.pi,
                             "n_points": 4001}},
     "earth-shell": {"experiment": "GravRedshift",
-                    "parameters": {"mode": "sidebands", "m0_kg": 5.972e24, "m1_kg": 1.0e10,
+                    "parameters": {"m0_kg": 5.972e24, "m1_kg": 1.0e10,
                                    "radius_m": 6.371e6, "modulation_frequency_Hz": 1.0e-3,
                                    "atom_rest_mass_kg": 1.44316060e-25,  # Rb-87
                                    "transition_energy_eV": 1.589}},      # D2 line
-    "supernova-shell": {"experiment": "GravRedshift",
-                        "parameters": {"mode": "exploding-shell", "shell_mass_kg": 2.8e30,
+    "supernova-shell": {"experiment": "GravPhase",
+                        "parameters": {"shell_mass_kg": 2.8e30,
                                        "radius_start_m": 7.0e8,
                                        "expansion_speed_m_per_s": 1.0e7,
                                        "system_mass_kg": 9.4526e-26,  # Fe-57
@@ -487,10 +470,11 @@ def _validate(raw: Mapping[str, Any], keys: Mapping[str, KeySpec], where: str,
     out: dict[str, Any] = {}
     for key, value in raw.items():
         if key not in keys:
-            # cutoff 0 always names a key, the closest one
-            suggestion = aliases.get(key.lower()) or difflib.get_close_matches(
-                key, list(keys), n=1, cutoff=0.0)[0]
-            raise ConfigError(f"unknown key '{key}' in {where}; did you mean '{suggestion}'?")
+            # cutoff 0 names the closest key whenever there is one
+            suggestion = aliases.get(key.lower()) or next(iter(difflib.get_close_matches(
+                key, list(keys), n=1, cutoff=0.0)), None)
+            raise ConfigError(f"unknown key '{key}' in {where}; " + (
+                f"did you mean '{suggestion}'?" if suggestion else "no key is valid there"))
         spec = keys[key]
         if value is None:
             continue
@@ -601,19 +585,22 @@ def parse_config(text: str | Mapping[str, Any]) -> ExperimentConfig:
     if unknown := set(output) - {"path", "format"}:
         raise ConfigError(f"unknown output keys {sorted(unknown)}; valid keys are "
                           "['path', 'format']")
-    wants = "csv" if params.get("mode") == "exploding-shell" else entry.output
-    fmt = output.get("format", wants)
+    fmt = output.get("format", entry.output)
     if fmt not in ("csv", "json"):
         raise ConfigError(f"output format must be 'csv' or 'json'; got {fmt!r}")
-    if fmt != wants:
-        label = f"{experiment} mode {params['mode']!r}" if "mode" in params else experiment
-        raise ConfigError(f"{label} writes '{wants}' output, so only format '{wants}' "
-                          f"is supported; got format {fmt!r}")
+    if fmt != entry.output:
+        raise ConfigError(f"{experiment} writes '{entry.output}' output, so only format "
+                          f"'{entry.output}' is supported; got format {fmt!r}")
     path = output.get("path") or re.sub(r"(?<=.)(?=[A-Z])", "_", experiment).lower() + "." + fmt
     if not isinstance(path, str):
-        raise ConfigError("output path must be a string")
+        raise ConfigError("output.path must be a string")
+    if os.path.isdir(path):
+        raise ConfigError(f"output.path {path!r} is a directory")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ConfigError(f"output.path {path!r}: directory "
+                          f"{os.path.dirname(path)!r} does not exist")
 
-    numerics = Numerics(**_validate(_section(data, "numerics"), _NUMERICS_KEYS, "numerics", {}))
+    numerics = _validate(_section(data, "numerics"), entry.numerics, "numerics", {})
     return ExperimentConfig(experiment=experiment, parameters=params, output_path=path,
                             output_format=fmt, numerics=numerics,
                             inputs=entry.build(params, numerics))
@@ -681,12 +668,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_reporting_failures(config: ExperimentConfig) -> int:
-    """Run one config; a numeric failure is a one-line message and exit 2."""
+    """Run one config.  Each failure is a one-line message: a numeric one
+    exits 2, an output file that cannot be written 1, and a scipy that
+    cannot run the integrator (the one import a run can fail) 3."""
     try:
         return run_experiment(config)
     except (IntegrationError, ValueError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_FAILURE
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    except ImportError as exc:
+        print(f"dependency error: {exc}", file=sys.stderr)
+        return EXIT_DEPENDENCY_ERROR
 
 
 def main(argv: Sequence[str] | None = None) -> int:

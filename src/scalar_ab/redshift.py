@@ -1,7 +1,7 @@
 """Two-level atom inside a time-varying mass shell: shell potential,
 mass-energy bookkeeping, gravitational redshift, FM modulation indices and
-transition sideband spectra, plus the charge-superselection cancellation
-check for the electric case.
+transition sideband spectra, the phase inside an exploding shell, plus the
+charge-superselection cancellation check for the electric case.
 
 The carrier line is redshifted by the DC shell potential -G*M0/r0 only; the
 AC component shows up exclusively as FM sidebands at multiples of the
@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import (C_LIGHT, G_NEWTON, HBAR, PLANCK_H, MassShell, TwoLevelAtom,
                    _check_norm, _Lines, _require)
-from .spectral import _bessel_row, _check_bessel_arg, required_truncation
+from .spectral import _bessel_row, _check_bessel_arg, default_truncation, required_truncation
 
 if TYPE_CHECKING:
     from .ab_phase import PhaseHistory
@@ -35,6 +35,8 @@ __all__ = [
     "redshifted_frequency",
     "modulation_indices",
     "transition_sideband_spectrum",
+    "sideband_record",
+    "exploding_shell_phase",
     "ion_cancellation_check",
 ]
 
@@ -64,6 +66,18 @@ def exploding_shell_potential(mass: float, radius_of_t, t_grid: Sequence[float],
     _require(bool(np.all(radii > 0.0)),
              "exploding_shell_potential radius must stay strictly positive")
     return [(float(t), float(-G_NEWTON * mass / r)) for t, r in zip(grid, radii)]
+
+
+def exploding_shell_phase(shell_mass: float, radius_start: float, speed: float,
+                          system_mass: float, t_grid: Sequence[float]) -> PhaseHistory:
+    """Gravitational AB phase of a system of constant mass ``system_mass``
+    inside a shell of constant mass ``shell_mass`` whose radius grows as
+    radius_start + speed*t, accumulated over ``t_grid``."""
+    from . import ab_phase  # only this scenario needs it, so only it loads it
+
+    potential = exploding_shell_potential(shell_mass, lambda t: radius_start + speed * t, t_grid)
+    masses = [(t_grid[0], system_mass), (t_grid[-1], system_mass)]
+    return ab_phase.accumulate_grav_phase(masses, potential, t_grid)
 
 
 def _check_weak_potential(potential: float, op: str) -> None:
@@ -200,6 +214,22 @@ def transition_sideband_spectrum(atom: TwoLevelAtom, shell: MassShell,
                               delta_alpha=indices.delta_alpha,
                               sideband_lines=_Lines(ns, carrier + ns * spacing,
                                                     np.abs(row[np.abs(ns)])))
+
+
+def sideband_record(atom: TwoLevelAtom, shell: MassShell,
+                    truncation_n: int | None = None) -> dict:
+    """The transition spectrum's ``to_dict()`` plus the levels' modulation
+    depths ``alpha_i`` and ``alpha_f`` and the carrier's fractional redshift
+    ``carrier_fractional_shift`` = (f_local - carrier)/f_local.
+    ``truncation_n`` None takes ``spectral.default_truncation(delta_alpha)``.
+    """
+    indices = modulation_indices(atom, shell)
+    if truncation_n is None:
+        truncation_n = default_truncation(indices.delta_alpha)
+    spectrum = transition_sideband_spectrum(atom, shell, truncation_n)
+    local_f = atom.transition_energy / PLANCK_H
+    return {**spectrum.to_dict(), "alpha_i": indices.alpha_i, "alpha_f": indices.alpha_f,
+            "carrier_fractional_shift": (local_f - spectrum.carrier_frequency) / local_f}
 
 
 def ion_cancellation_check(common_phase: PhaseHistory, base_rate: float) -> float:

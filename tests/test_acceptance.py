@@ -144,7 +144,7 @@ def test_criterion_06_fig3_post_drive_phase(tmp_path):
     data = np.genfromtxt(out, delimiter=",", names=True)
     t_off = config.parameters["drive_t_off_ns"] * 1e-9
     post = data["t_seconds"] >= t_off
-    threshold = 10 * config.numerics.abs_tol
+    threshold = 10 * config.inputs.control.abs_tol  # the StepControl the run used
     fraction = float(np.mean(np.abs(data["delta_phi_rad"][post]) > threshold))
     report(6, "fig3 preset keeps nonzero phase after drive-off",
            post.sum() > 100 and fraction >= 0.9,

@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 import scalar_ab
-from scalar_ab.cli import (EXIT_CONFIG_ERROR, EXIT_NUMERIC_FAILURE, EXIT_OK,
-                           PRESETS, SCHEMAS, ConfigError, main, parse_config,
+from scalar_ab import cli
+from scalar_ab.cli import (EXIT_CONFIG_ERROR, EXIT_DEPENDENCY_ERROR, EXIT_NUMERIC_FAILURE,
+                           EXIT_OK, PRESETS, SCHEMAS, ConfigError, main, parse_config,
                            run_experiment)
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -108,12 +109,8 @@ class TestParseConfig:
                                 "drive_frequency_MHz": 150.0}}))
 
     def test_numerics_validation(self):
-        with pytest.raises(ConfigError, match="rel_tol"):
-            parse_config(json.dumps(
-                {"experiment": "ElectricSidebands",
-                 "parameters": {"drive_amplitude_uV": 1.0,
-                                "drive_frequency_MHz": 150.0},
-                 "numerics": {"rel_tol": -1.0}}))
+        with pytest.raises(ConfigError, match="'rel_tol' in numerics must be positive"):
+            parse_config(json.dumps(circuit_config("x.csv") | {"numerics": {"rel_tol": -1.0}}))
 
     def test_every_preset_parses(self):
         for name, preset in PRESETS.items():
@@ -123,7 +120,7 @@ class TestParseConfig:
     def test_every_preset_key_mutation_fails_specifically(self):
         for name, preset in PRESETS.items():
             doc = json.loads(json.dumps(preset))
-            key = sorted(k for k in doc["parameters"] if k != "mode")[0]
+            key = sorted(doc["parameters"])[0]
             doc["parameters"][key + "_typo"] = doc["parameters"].pop(key)
             with pytest.raises(ConfigError, match="unknown key"):
                 parse_config(json.dumps(doc))
@@ -508,6 +505,43 @@ class TestMainAndExitCodes:
         assert not (tmp_path / "a_out.json").exists()
         assert not (tmp_path / "b_out.csv").exists()
 
+    @pytest.mark.parametrize("out", ["missing/x.json", "."])
+    def test_output_path_that_cannot_be_written_is_config_error(self, tmp_path, capsys, out):
+        # used to end in a FileNotFoundError or IsADirectoryError traceback
+        out = tmp_path / out
+        assert main(["earth-shell", "--out", str(out)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("config error: output.path ") and str(out) in err
+        assert not (tmp_path / "missing").exists()
+
+    def test_sweep_with_an_unwritable_path_writes_nothing(self, tmp_path, capsys):
+        paths = []
+        for name, out in (("a", tmp_path / "a_out.json"), ("b", tmp_path / "no" / "b.json")):
+            conf = tmp_path / f"{name}.json"
+            conf.write_text(json.dumps({"experiment": "ElectricSidebands",
+                                        "parameters": {"drive_amplitude_uV": 1.0,
+                                                       "drive_frequency_MHz": 150.0},
+                                        "output": {"path": str(out)}}))
+            paths.append(str(conf))
+        assert main(["--sweep", *paths]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "output.path" in err
+        assert not (tmp_path / "a_out.json").exists()
+
+    def test_write_failure_is_one_line_exit_1(self, tmp_path, capsys):
+        # the directory checked at parse time is gone when the run writes
+        folder = tmp_path / "gone"
+        folder.mkdir()
+        config = parse_config({"experiment": "PotentialLandscape",
+                               "parameters": {"preset": "fig4", "n_points": 101},
+                               "output": {"path": str(folder / "x.json")}})
+        folder.rmdir()
+        assert cli._run_reporting_failures(config) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and err.count("\n") == 1
+        assert str(folder / "x.json") in err
+
     def test_sweep_rejects_colliding_outputs(self, tmp_path, capsys):
         conf = tmp_path / "one.json"
         conf.write_text(json.dumps(
@@ -516,6 +550,98 @@ class TestMainAndExitCodes:
                             "drive_frequency_MHz": 150.0},
              "output": {"path": str(tmp_path / "same.json"), "format": "json"}}))
         assert main(["--sweep", str(conf), str(conf)]) == EXIT_CONFIG_ERROR
+
+
+# A small valid run of each experiment, and the numerics keys its build
+# does not read.
+UNREAD_NUMERICS = {
+    "CircuitDynamics": ({"preset": "fig3", "t_end_ns": 1.0, "n_samples": 11}, ["truncation_n"]),
+    "PotentialLandscape": ({"preset": "fig4", "n_points": 101},
+                           ["rel_tol", "abs_tol", "truncation_n"]),
+    "ElectricSidebands": ({"drive_amplitude_uV": 1.0, "drive_frequency_MHz": 150.0},
+                          ["rel_tol", "abs_tol"]),
+    "FloquetDecompose": ({"waveform": "sinusoid", "frequency_MHz": 100.0,
+                          "u0_over_h_GHz": 0.5}, ["rel_tol", "abs_tol"]),
+    "GravRedshift": ({"preset": "earth-shell"}, ["rel_tol", "abs_tol"]),
+    "GravPhase": ({"preset": "supernova-shell", "n_samples": 11},
+                  ["rel_tol", "abs_tol", "truncation_n"]),
+    "BulkPhase": ({"drive_amplitude_uV": 1.0, "drive_frequency_MHz": 150.0, "t_end_ns": 10.0,
+                   "n_samples": 11, "species": [{"species": "electron", "count": 1e9}]},
+                  ["rel_tol", "abs_tol", "truncation_n"]),
+}
+# Values each key's schema accepts, so that not being read is the only fault.
+NUMERICS_VALUES = {"rel_tol": 0.5, "abs_tol": 1.0, "truncation_n": 3}
+
+
+class TestNumericsPerExperiment:
+    def run(self, tmp_path, experiment, numerics, **parameters):
+        doc = tmp_path / "conf.json"
+        doc.write_text(json.dumps({"experiment": experiment,
+                                   "parameters": {**UNREAD_NUMERICS[experiment][0], **parameters},
+                                   "output": {"path": str(tmp_path / "out")},
+                                   "numerics": numerics}))
+        return main(["--config", str(doc)])
+
+    def test_the_table_covers_every_experiment(self):
+        assert sorted(UNREAD_NUMERICS) == sorted(cli.EXPERIMENTS)
+
+    @pytest.mark.parametrize("experiment, key", [
+        (experiment, key) for experiment, (_, keys) in UNREAD_NUMERICS.items() for key in keys])
+    def test_unread_numerics_key_is_config_error(self, tmp_path, capsys, experiment, key):
+        # these used to be accepted and ignored
+        assert self.run(tmp_path, experiment, {key: NUMERICS_VALUES[key]}) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith(f"config error: unknown key '{key}' in numerics; ")
+        assert not (tmp_path / "out").exists()
+
+    def test_bulk_phase_with_every_numerics_key_is_rejected(self, tmp_path, capsys):
+        # the config that wrote the same bytes as the one without numerics
+        assert self.run(tmp_path, "BulkPhase", dict(NUMERICS_VALUES)) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert re.match(r"config error: unknown key '(rel_tol|abs_tol|truncation_n)' in "
+                        r"numerics; no key is valid there$", err)
+
+    @pytest.mark.parametrize("experiment, numerics", [
+        ("CircuitDynamics", {"rel_tol": 1e-4, "abs_tol": 1e-6}),
+        ("ElectricSidebands", {"truncation_n": 40}),
+        ("FloquetDecompose", {"truncation_n": 40}),
+        ("GravRedshift", {"truncation_n": 40}),
+    ])
+    def test_read_numerics_key_changes_the_output(self, tmp_path, capsys, experiment,
+                                                  numerics):
+        assert self.run(tmp_path, experiment, {}) == EXIT_OK
+        default = (tmp_path / "out").read_bytes()
+        assert self.run(tmp_path, experiment, numerics) == EXIT_OK
+        assert (tmp_path / "out").read_bytes() != default
+
+    @pytest.mark.parametrize("mode", ["sidebands", "exploding-shell"])
+    def test_grav_redshift_mode_is_unknown_key(self, tmp_path, capsys, mode):
+        # the two scenarios are two experiments, GravRedshift and GravPhase
+        assert self.run(tmp_path, "GravRedshift", {}, mode=mode) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("config error: unknown key 'mode' in GravRedshift parameters")
+        assert not (tmp_path / "out").exists()
+
+    def test_grav_phase_writes_what_the_supernova_preset_writes(self, tmp_path, capsys):
+        doc = tmp_path / "conf.json"
+        doc.write_text(json.dumps({"experiment": "GravPhase",
+                                   "parameters": {"shell_mass_kg": 2.8e30,
+                                                  "radius_start_m": 7.0e8,
+                                                  "expansion_speed_m_per_s": 1.0e7,
+                                                  "system_mass_kg": 9.4526e-26,
+                                                  "t_end_s": 100.0, "n_samples": 2001},
+                                   "output": {"path": str(tmp_path / "explicit.csv")}}))
+        assert main(["--config", str(doc)]) == EXIT_OK
+        assert main(["supernova-shell", "--out", str(tmp_path / "preset.csv")]) == EXIT_OK
+        explicit = (tmp_path / "explicit.csv").read_bytes()
+        assert explicit == (tmp_path / "preset.csv").read_bytes()
+        (header, got), (golden_header, want) = (read_csv(tmp_path / "explicit.csv"),
+                                                read_csv(GOLDEN / "supernova-shell.csv"))
+        assert header == golden_header
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
 
 def run_fresh(code, cwd, **env):
@@ -636,6 +762,24 @@ assert "scipy.integrate" not in sys.modules, scipy_modules()
         run_fresh(code, tmp_path)
         for name in ("fig3", "a", "b"):
             assert (tmp_path / f"{name}.csv").stat().st_size > 0
+
+
+class TestTooOldScipy:
+    def test_fig3_exits_3_naming_the_version(self, tmp_path):
+        # A scipy 1.16 first on the path: this used to exit 1 after a
+        # 27-line ImportError traceback.
+        fake = tmp_path / "fake" / "scipy"
+        fake.mkdir(parents=True)
+        (fake / "__init__.py").write_text("")
+        (fake / "version.py").write_text('version = "1.16.0"\n')
+        src = str(Path(scalar_ab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(fake.parent), src])}
+        proc = subprocess.run([sys.executable, "-m", "scalar_ab.cli", "fig3", "--out", "fig3.csv"],
+                              cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert proc.returncode == EXIT_DEPENDENCY_ERROR == 3
+        assert proc.stderr.startswith("dependency error: ") and proc.stderr.count("\n") == 1
+        assert "found scipy 1.16.0" in proc.stderr
+        assert not (tmp_path / "fig3.csv").exists()
 
 
 # Prints the scalar_ab modules loaded after importing scalar_ab.cli and, if

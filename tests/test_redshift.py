@@ -1,17 +1,20 @@
 """Shell potential, mass-energy bookkeeping, redshift, FM sideband spectra,
 and the charged-system cancellation check."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from scalar_ab.ab_phase import PhaseHistory, accumulate_grav_phase
 from scalar_ab.core import CODATA2018, MassShell, TwoLevelAtom
-from scalar_ab.redshift import (TransitionSpectrum, exploding_shell_potential,
-                                ion_cancellation_check, modulation_indices,
-                                redshifted_frequency, rest_mass_in_potential,
-                                shell_potential, transition_sideband_spectrum)
+from scalar_ab.redshift import (TransitionSpectrum, exploding_shell_phase,
+                                exploding_shell_potential, ion_cancellation_check,
+                                modulation_indices, redshifted_frequency,
+                                rest_mass_in_potential, shell_potential, sideband_record,
+                                transition_sideband_spectrum)
 from scalar_ab.spectral import fm_spectrum_via_fft, required_truncation
 
 HBAR = CODATA2018.hbar
@@ -26,6 +29,9 @@ EARTH_MASS = 5.972e24
 EARTH_RADIUS = 6.371e6
 EARTH_POTENTIAL = -62563050.69847748
 EARTH_FRACTIONAL_SHIFT = 6.961078181808973e-10
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def earth_shell(m1=0.0, omega=2 * math.pi * 1e-3):
@@ -327,3 +333,71 @@ class TestMassEnergyConsistencyChain:
             via_energy = (G * shell.m1 * (atom.transition_energy / C ** 2)
                           / (HBAR * shell.omega * shell.radius))
             assert via_masses == pytest.approx(via_energy, rel=1e-12)
+
+
+# The earth-shell preset: a 1e10 kg AC mass on the Earth shell, and the
+# Rb-87 D2 line (lower-level rest mass 1.44316060e-25 kg, 1.589 eV).
+def rb87_in_earth_shell():
+    atom = TwoLevelAtom.from_transition(rest_mass_i=1.44316060e-25, transition_energy=1.589 * E)
+    return atom, earth_shell(m1=1e10)
+
+
+class TestSidebandRecord:
+    def test_matches_the_earth_shell_golden(self):
+        record = sideband_record(*rb87_in_earth_shell())
+        golden = json.loads((GOLDEN / "earth-shell.json").read_text())
+        assert json.loads(json.dumps(record)) == golden
+
+    def test_is_the_spectrum_plus_the_level_depths_and_the_shift(self):
+        atom, shell = rb87_in_earth_shell()
+        record = sideband_record(atom, shell, truncation_n=30)
+        spectrum = transition_sideband_spectrum(atom, shell, 30)
+        indices = modulation_indices(atom, shell)
+        assert len(record["sideband_lines"]) == 61
+        assert record == {**spectrum.to_dict(), "alpha_i": indices.alpha_i,
+                          "alpha_f": indices.alpha_f,
+                          "carrier_fractional_shift": record["carrier_fractional_shift"]}
+        local = atom.transition_energy / H
+        assert record["carrier_fractional_shift"] == (local - spectrum.carrier_frequency) / local
+
+    def test_fractional_shift_near_the_closed_form(self):
+        # (f_local - carrier)/f_local cancels nine digits: it reads 2.9e-8
+        # relative above |Phi|/c^2 / (1 + |Phi|/c^2).
+        record = sideband_record(*rb87_in_earth_shell())
+        assert record["carrier_fractional_shift"] == pytest.approx(EARTH_FRACTIONAL_SHIFT,
+                                                                   rel=1e-7)
+
+    def test_automatic_truncation_is_the_default_one(self):
+        atom, shell = rb87_in_earth_shell()
+        automatic = sideband_record(atom, shell)
+        assert len(automatic["sideband_lines"]) == 43  # default_truncation: 21
+        assert automatic == sideband_record(atom, shell, truncation_n=21)
+
+
+class TestExplodingShellPhase:
+    def test_matches_the_supernova_shell_golden(self):
+        # 2.8e30 kg shell from 7e8 m at 1e7 m/s around one Fe-57 atom, 100 s
+        history = exploding_shell_phase(2.8e30, 7.0e8, 1.0e7, 9.4526e-26,
+                                        np.linspace(0.0, 100.0, 2001))
+        want = np.loadtxt(GOLDEN / "supernova-shell.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(history.times, want[:, 0])
+        np.testing.assert_allclose(history.phase, want[:, 1], rtol=1e-15, atol=0.0)
+
+    def test_is_the_constant_mass_phase_of_the_sampled_potential(self):
+        grid = np.linspace(0.0, 10.0, 101)
+        potential = exploding_shell_potential(2.8e30, lambda t: 7e8 + 1e7 * t, grid)
+        want = accumulate_grav_phase([(0.0, 1e-25), (10.0, 1e-25)], potential, grid)
+        got = exploding_shell_phase(2.8e30, 7e8, 1e7, 1e-25, grid)
+        assert np.array_equal(got.phase, want.phase)
+
+    def test_close_to_the_logarithm(self):
+        # (m/hbar) * integral of -G*M/(r0 + v*t) is -G*M*m*ln(1 + v*t/r0)/(hbar*v);
+        # the linear interpolant of the potential reads 8.5e-8 relative off it.
+        grid = np.linspace(0.0, 100.0, 2001)
+        got = exploding_shell_phase(2.8e30, 7e8, 1e7, 1e-25, grid)
+        exact = -G * 2.8e30 * 1e-25 * np.log1p(1e7 * grid / 7e8) / (HBAR * 1e7)
+        np.testing.assert_allclose(got.phase[1:], exact[1:], rtol=1e-6)
+
+    def test_shrinking_through_zero_radius_is_rejected(self):
+        with pytest.raises(ValueError, match="radius must stay strictly positive"):
+            exploding_shell_phase(2.8e30, 1.0, -1.0, 1e-25, np.linspace(0.0, 2.0, 5))
