@@ -320,20 +320,21 @@ def _dop_codes():
     extension imports numpy only, so this costs ~1 ms where importing scipy's
     integrate package costs ~0.9 s.  The price is reliance on a private
     module and its call signature, which is that of scipy 1.17 (earlier
-    releases built ``_dop`` with f2py: nsteps in iwork, four return values).
-    An older scipy or a missing file raises ImportError naming the scipy
-    version and the directory searched.
+    releases built ``_dop`` with f2py: nsteps in iwork, four return values),
+    so only 1.17.x is accepted: a later release may change the signature, and
+    a wrong call can crash the process.  Another scipy or a missing file
+    raises ImportError naming the scipy version and the directory searched.
     """
     spec = importlib.util.find_spec("scipy")
     if spec is None:
-        raise ImportError("integrate_trajectory needs scipy >= 1.17; no scipy found")
+        raise ImportError("integrate_trajectory needs scipy 1.17.x; no scipy found")
     root = spec.submodule_search_locations[0]
     folder = os.path.join(root, "integrate")
     version = _scipy_version(root)
     release = re.match(r"(\d+)\.(\d+)", version)
-    if release is None or tuple(map(int, release.groups())) < (1, 17):
+    if release is None or tuple(map(int, release.groups())) != (1, 17):
         raise ImportError(
-            f"integrate_trajectory needs scipy >= 1.17, whose compiled DOP853/DOPRI5 "
+            f"integrate_trajectory needs scipy 1.17.x, whose compiled DOP853/DOPRI5 "
             f"extension _dop in {folder} has the call signature used here; "
             f"found scipy {version}")
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:

@@ -1,7 +1,6 @@
 """Command-line front end: strict config parsing, experiment presets, one
-table that runs every experiment, and deterministic file output.  Apart
-from the electric modulation depth q*V0/(hbar*omega), it only converts
-units: the physics lives in the library modules.
+table that runs every experiment, and deterministic file output.  It
+converts units and holds no physics: that lives in the library modules.
 
 A config is a JSON object with the sections ``experiment``, ``parameters``
 (the experiment's keys, each with its unit in its name; frequencies are
@@ -43,7 +42,7 @@ if "numpy" not in sys.modules:
 
 import numpy as np  # noqa: E402  (after the thread setting above)
 
-from .core import (E_CHARGE, HBAR, PLANCK_H, CircuitParams, DriveWaveform,  # noqa: E402
+from .core import (E_CHARGE, PLANCK_H, CircuitParams, DriveWaveform,  # noqa: E402
                    IntegrationError, MassShell, TwoLevelAtom)
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "run_experiment", "main"]
@@ -183,6 +182,14 @@ def _circuit_params(p: Mapping[str, Any]) -> CircuitParams:
         for name, key in keys.items()})
 
 
+def _drive(p: Mapping[str, Any], **extra: Any) -> DriveWaveform:
+    """The sinusoidal drive of the _DRIVE_KEYS in ``p``, with ``extra`` arguments."""
+    keys = {"amplitude": "drive_amplitude_uV", "omega": "drive_frequency_MHz",
+            "phase0": "drive_phase0_rad"}
+    return _make(DriveWaveform.sinusoid, keys, amplitude=p["drive_amplitude_uV"] * 1e-6,
+                 omega=2.0 * math.pi * p["drive_frequency_MHz"] * 1e6, **extra)
+
+
 # CircuitDynamics: the driven junction's trajectory.
 _CIRCUIT_DYNAMICS_KEYS = {
     "preset": KeySpec("string", "named parameter preset", choices=("fig3",)),
@@ -204,17 +211,15 @@ _CIRCUIT_DYNAMICS_KEYS = {
 
 def _build_circuit_dynamics(p: Mapping[str, Any], numerics: Mapping[str, Any]) -> SimpleNamespace:
     circuit = _lib("circuit")
-    keys = {"amplitude": "drive_amplitude_uV", "omega": "drive_frequency_MHz",
-            "phase0": "drive_phase0_rad", "t_on": "drive_t_on_ns", "t_off": "drive_t_off_ns",
-            "ramp_duration": "ramp_periods", "method": "method", "fixed_step": "fixed_step_ns"}
+    keys = {"t_on": "drive_t_on_ns", "t_off": "drive_t_off_ns", "ramp_duration": "ramp_periods",
+            "method": "method", "fixed_step": "fixed_step_ns"}
     params = _circuit_params(p)
-    omega = 2.0 * math.pi * p["drive_frequency_MHz"] * 1e6
-    drive = _make(DriveWaveform.sinusoid, keys, amplitude=p["drive_amplitude_uV"] * 1e-6,
-                  omega=omega, phase0=p["drive_phase0_rad"])
+    drive = _drive(p, phase0=p["drive_phase0_rad"])
     t_off = p.get("drive_t_off_ns")
     envelope = None
     if t_off is not None or p["drive_t_on_ns"] > 0.0:
-        ramp = 0.0 if p["drive_switch"] == "instant" else p["ramp_periods"] * 2.0 * math.pi / omega
+        ramp = (0.0 if p["drive_switch"] == "instant"
+                else p["ramp_periods"] * 2.0 * math.pi / drive.omega)
         envelope = _make(circuit.DriveEnvelope, keys, t_on=p["drive_t_on_ns"] * 1e-9,
                          t_off=None if t_off is None else t_off * 1e-9, ramp_duration=ramp)
     step = p.get("fixed_step_ns")
@@ -263,10 +268,9 @@ _ELECTRIC_KEYS = {
 def _electric_sidebands(i: SimpleNamespace) -> tuple[float, Any]:
     """The modulation depth and its spectrum."""
     spectral = _lib("spectral")
-    omega = 2.0 * math.pi * i.p["drive_frequency_MHz"] * 1e6
-    alpha = i.p["charge_in_e"] * E_CHARGE * i.p["drive_amplitude_uV"] * 1e-6 / (HBAR * omega)
+    alpha = i.drive.modulation_depth(i.charge)
     truncation = spectral.default_truncation(alpha) if i.truncation is None else i.truncation
-    return alpha, spectral.jacobi_anger_coeffs(alpha, truncation, omega=omega)
+    return alpha, spectral.jacobi_anger_coeffs(alpha, truncation, omega=i.drive.omega)
 
 
 # FloquetDecompose: the Floquet sidebands of a periodic potential.
@@ -328,7 +332,7 @@ def _build_grav_redshift(p: Mapping[str, Any], numerics: Mapping[str, Any]) -> S
             "transition_energy": "transition_energy_eV"}
     shell = _make(MassShell, keys, m0=p["m0_kg"], m1=p["m1_kg"], radius=p["radius_m"],
                   omega=2.0 * math.pi * p["modulation_frequency_Hz"])
-    atom = _make(TwoLevelAtom.from_transition, keys, rest_mass_i=p["atom_rest_mass_kg"],
+    atom = _make(TwoLevelAtom, keys, rest_mass_i=p["atom_rest_mass_kg"],
                  transition_energy=p["transition_energy_eV"] * E_CHARGE)
     return SimpleNamespace(atom=atom, shell=shell, truncation_n=numerics.get("truncation_n"))
 
@@ -336,7 +340,7 @@ def _build_grav_redshift(p: Mapping[str, Any], numerics: Mapping[str, Any]) -> S
 # GravPhase: the phase accumulated inside an exploding mass shell.
 _GRAV_PHASE_KEYS = {
     "preset": KeySpec("string", "named parameter preset", choices=("supernova-shell",)),
-    "shell_mass_kg": KeySpec("number", "fixed shell mass, kilograms", required=True),
+    "shell_mass_kg": KeySpec("number", "fixed shell mass, kilograms", required=True, minimum=0.0),
     "radius_start_m": KeySpec("number", "initial shell radius, meters", required=True, positive=True),
     "expansion_speed_m_per_s": KeySpec("number", "radial speed, m/s", required=True),
     "system_mass_kg": KeySpec("number", "enclosed system mass, kilograms", required=True, positive=True),
@@ -346,6 +350,10 @@ _GRAV_PHASE_KEYS = {
 
 
 def _build_grav_phase(p: Mapping[str, Any], numerics: Mapping[str, Any]) -> SimpleNamespace:
+    end = p["radius_start_m"] + p["expansion_speed_m_per_s"] * p["t_end_s"]  # r(t) is linear
+    if not end > 0.0:  # no value type holds the shell
+        raise ConfigError(f"radius_start_m, expansion_speed_m_per_s, t_end_s: the shell radius "
+                          f"at t_end_s ({end:g} m) must be positive")
     return SimpleNamespace(shell_mass=p["shell_mass_kg"], radius_start=p["radius_start_m"],
                            speed=p["expansion_speed_m_per_s"], system_mass=p["system_mass_kg"],
                            t_grid=np.linspace(0.0, p["t_end_s"], p["n_samples"]))
@@ -362,10 +370,7 @@ _BULK_KEYS = {
 
 def _build_bulk(p: Mapping[str, Any], numerics: Mapping[str, Any]) -> SimpleNamespace:
     ab_phase = _lib("ab_phase")
-    keys = {"amplitude": "drive_amplitude_uV", "omega": "drive_frequency_MHz",
-            "species": "species", "counts": "species"}
-    drive = _make(DriveWaveform.sinusoid, keys, amplitude=p["drive_amplitude_uV"] * 1e-6,
-                  omega=2.0 * math.pi * p["drive_frequency_MHz"] * 1e6)
+    keys = {"species": "species", "counts": "species"}
     t_end = p["t_end_ns"] * 1e-9
     species = []
     for entry in p["species"]:
@@ -375,7 +380,7 @@ def _build_bulk(p: Mapping[str, Any], numerics: Mapping[str, Any]) -> SimpleName
             counts = tuple((t * 1e-9, n) for t, n in zip(entry["counts_t_ns"], entry["counts_n"]))
         species.append(_make(ab_phase.SpeciesCount, keys, counts=counts,
                              species=ab_phase.Species(entry["species"])))
-    return SimpleNamespace(species=species, drive=drive,
+    return SimpleNamespace(species=species, drive=_drive(p),
                            grid=np.linspace(0.0, t_end, p["n_samples"]))
 
 
@@ -385,7 +390,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         write=lambda result, path: result[1].to_csv(path),
         summary=lambda i, result: (
             f"omega0/2pi={result[0].small_oscillation_frequency / (2e9 * math.pi):.4g} GHz "
-            f"alpha={2.0 * E_CHARGE * i.drive.amplitude / (HBAR * i.drive.omega):.4g}"),
+            f"alpha={i.drive.modulation_depth(2.0 * E_CHARGE):.4g}"),
         numerics=_TOLERANCES,
         aliases={**_DRIVE_ALIASES, "amplitude": "drive_amplitude_uV",
                  "v0": "drive_amplitude_uV", "omega": "drive_frequency_MHz",
@@ -398,7 +403,8 @@ EXPERIMENTS: dict[str, Experiment] = {
         aliases={"el": "e_inductive_GHz", "ej": "e_josephson_GHz"}),
     "ElectricSidebands": Experiment(
         _ELECTRIC_KEYS, "json", lambda p, numerics: SimpleNamespace(
-            p=p, truncation=numerics.get("truncation_n")), _electric_sidebands,
+            drive=_drive(p), charge=p["charge_in_e"] * E_CHARGE,
+            truncation=numerics.get("truncation_n")), _electric_sidebands,
         write=lambda r, path: _write_json(path, r[1].to_dict()),
         summary=lambda i, r: f"alpha={r[0]:.6g} truncation_n={r[1].truncation_n}",
         numerics=_TRUNCATION,
@@ -695,6 +701,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(json.dumps(preset, indent=2, sort_keys=True))
             return EXIT_OK
         if args.sweep:
+            if ignored := [f"{name} {value!r}" for name, value in (
+                    ("target", args.target), ("--config", args.config), ("--out", args.out),
+                    ("--format", args.format)) if value is not None]:
+                raise ConfigError("--sweep runs each config as written and takes no target, "
+                                  f"--config, --out or --format; got {', '.join(ignored)}")
             # every config is parsed and built before any kernel runs
             configs = [_load_config(None, path, None, None) for path in args.sweep]
             paths = [c.output_path for c in configs]

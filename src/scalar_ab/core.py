@@ -271,6 +271,12 @@ class DriveWaveform(_FieldDict):
     def is_sinusoid(self) -> bool:
         return self.kind == _SINUSOID
 
+    def modulation_depth(self, charge: float) -> float:
+        """FM modulation depth q*V0/(hbar*omega) of a charge ``charge`` (C)
+        in this sinusoidal voltage drive: its phase amplitude in radians."""
+        _require(self.kind == _SINUSOID, "DriveWaveform.modulation_depth needs a sinusoid")
+        return charge * self.amplitude / (HBAR * self.omega)
+
     def value(self, t: "float | np.ndarray") -> "float | np.ndarray":
         """Waveform value at time(s) t; sampled kinds wrap periodically."""
         if self.kind == _SINUSOID:
@@ -527,44 +533,32 @@ class MassShell(_FieldDict):
 
 @dataclass(frozen=True)
 class TwoLevelAtom(_FieldDict):
-    """Two-level system with explicit level energies and rest masses.
+    """Two-level system given by its lower level's rest mass and its
+    transition energy.
 
-    Energies and masses are stored redundantly so the mass-energy relation
-    delta_m = delta_E / c^2 can itself be probed; construction checks it
-    within ``mass_consistency_tol`` (relative to delta_E/c^2, with a floor at
-    the double-precision representation granularity of the masses).
+    The rest-mass difference ``delta_m`` = transition_energy/c^2 and the
+    upper level's ``rest_mass_f`` are derived, so the mass-energy relation
+    holds by construction and the transition energy keeps every digit of
+    its input.
     """
 
-    energy_i: float       # J
-    energy_f: float       # J
-    rest_mass_i: float    # kg
-    rest_mass_f: float    # kg
-    charge: float = 0.0   # C, zero for a neutral atom
-    mass_consistency_tol: float = 1e-6
+    rest_mass_i: float        # kg
+    transition_energy: float  # J
 
     def __post_init__(self) -> None:
-        _require(self.energy_f > self.energy_i,
-                 "TwoLevelAtom.energy_f must exceed energy_i")
-        _require(self.rest_mass_i > 0.0 and self.rest_mass_f > 0.0,
-                 "TwoLevelAtom rest masses must be strictly positive")
-        expected = (self.energy_f - self.energy_i) / C_LIGHT ** 2
-        floor = 8.0 * np.finfo(float).eps * max(self.rest_mass_i, self.rest_mass_f)
-        _require(abs((self.rest_mass_f - self.rest_mass_i) - expected)
-                 <= max(self.mass_consistency_tol * expected, floor),
-                 "TwoLevelAtom rest_mass_f - rest_mass_i must equal "
-                 "(energy_f - energy_i)/c^2 within tolerance")
+        _require(self.rest_mass_i > 0.0, "TwoLevelAtom.rest_mass_i must be strictly positive")
+        _require(self.transition_energy > 0.0,
+                 "TwoLevelAtom.transition_energy must be strictly positive")
 
     @classmethod
-    def from_transition(cls, rest_mass_i: float, transition_energy: float,
-                        charge: float = 0.0) -> "TwoLevelAtom":
-        """Build a consistent atom from the lower-state mass and transition energy."""
-        energy_i = rest_mass_i * C_LIGHT ** 2
-        return cls(energy_i=energy_i,
-                   energy_f=energy_i + transition_energy,
-                   rest_mass_i=rest_mass_i,
-                   rest_mass_f=rest_mass_i + transition_energy / C_LIGHT ** 2,
-                   charge=charge)
+    def from_transition(cls, rest_mass_i: float, transition_energy: float) -> "TwoLevelAtom":
+        return cls(rest_mass_i=rest_mass_i, transition_energy=transition_energy)
 
     @property
-    def transition_energy(self) -> float:
-        return self.energy_f - self.energy_i
+    def delta_m(self) -> float:
+        """Rest-mass difference of the levels, transition_energy/c^2, in kg."""
+        return self.transition_energy / C_LIGHT ** 2
+
+    @property
+    def rest_mass_f(self) -> float:
+        return self.rest_mass_i + self.delta_m

@@ -6,9 +6,10 @@ charge-superselection cancellation check for the electric case.
 The carrier line is redshifted by the DC shell potential -G*M0/r0 only; the
 AC component shows up exclusively as FM sidebands at multiples of the
 modulation frequency, with line amplitudes |J_n(delta_alpha)| where
-delta_alpha = G*M1*(m_f - m_i)/(hbar*omega*r0).  For a charged system the
-common electric phase factor cancels in the transition rate, so its
-spectrum never splits: that contrast is the point of this module.
+delta_alpha = G*M1*(m_f - m_i)/(hbar*omega*r0) and m_f - m_i = delta_E/c^2.
+For a charged system the common electric phase factor cancels in the
+transition rate, so its spectrum never splits: that contrast is the point
+of this module.
 """
 
 from __future__ import annotations
@@ -120,16 +121,15 @@ class ModulationIndices(NamedTuple):
 def modulation_indices(atom: TwoLevelAtom, shell: MassShell) -> ModulationIndices:
     """FM modulation depths G*M1*m/(hbar*omega*r0) for both levels.
 
-    ``delta_alpha = alpha_f - alpha_i`` is the observable splitting index; it
-    is linear in the shell's AC mass and in the level rest-mass difference,
-    and inversely linear in the modulation frequency and shell radius.
+    ``delta_alpha`` = alpha_f - alpha_i, the observable splitting index, is
+    computed from the atom's ``delta_m``, not as that difference; it is linear
+    in the shell's AC mass and in delta_m, and inversely linear in the
+    modulation frequency and shell radius.
     """
     _require(shell.omega > 0.0, "modulation_indices requires shell.omega > 0")
     scale = G_NEWTON * shell.m1 / (HBAR * shell.omega * shell.radius)
-    alpha_i = scale * atom.rest_mass_i
-    alpha_f = scale * atom.rest_mass_f
-    return ModulationIndices(alpha_i=alpha_i, alpha_f=alpha_f,
-                             delta_alpha=scale * (atom.rest_mass_f - atom.rest_mass_i))
+    return ModulationIndices(alpha_i=scale * atom.rest_mass_i, alpha_f=scale * atom.rest_mass_f,
+                             delta_alpha=scale * atom.delta_m)
 
 
 @dataclass(frozen=True)
@@ -220,16 +220,17 @@ def sideband_record(atom: TwoLevelAtom, shell: MassShell,
                     truncation_n: int | None = None) -> dict:
     """The transition spectrum's ``to_dict()`` plus the levels' modulation
     depths ``alpha_i`` and ``alpha_f`` and the carrier's fractional redshift
-    ``carrier_fractional_shift`` = (f_local - carrier)/f_local.
+    ``carrier_fractional_shift`` = (f_local - carrier)/f_local, in the closed
+    form x/(1 + x) with x = G*M0/(r0*c^2), which keeps every digit.
     ``truncation_n`` None takes ``spectral.default_truncation(delta_alpha)``.
     """
     indices = modulation_indices(atom, shell)
     if truncation_n is None:
         truncation_n = default_truncation(indices.delta_alpha)
     spectrum = transition_sideband_spectrum(atom, shell, truncation_n)
-    local_f = atom.transition_energy / PLANCK_H
+    x = G_NEWTON * shell.m0 / (shell.radius * C_LIGHT ** 2)
     return {**spectrum.to_dict(), "alpha_i": indices.alpha_i, "alpha_f": indices.alpha_f,
-            "carrier_fractional_shift": (local_f - spectrum.carrier_frequency) / local_f}
+            "carrier_fractional_shift": x / (1.0 + x)}
 
 
 def ion_cancellation_check(common_phase: PhaseHistory, base_rate: float) -> float:

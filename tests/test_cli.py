@@ -195,9 +195,9 @@ class TestRunExperiment:
         run_experiment(parse_config(json.dumps(doc)))
         payload = json.loads(out.read_text())
         assert payload["carrier_fractional_shift"] == pytest.approx(6.96e-10,
-                                                                    rel=1e-3)
-        assert payload["delta_alpha"] == pytest.approx(4.478513840343062e-07,
-                                                       rel=1e-9)
+                                                                    rel=1e-3, abs=0.0)
+        assert payload["delta_alpha"] == pytest.approx(4.478524707361217e-07,
+                                                       rel=1e-9, abs=0.0)
 
     def test_supernova_preset_phase_csv(self, tmp_path):
         out = tmp_path / "sn.csv"
@@ -343,6 +343,9 @@ class TestMainAndExitCodes:
         # these used to underflow to 0 J and run silently as E_J = 0
         ("fig3", {"e_josephson_GHz": 1e-300}, "e_josephson_GHz"),
         ("fig3", {"e_josephson_GHz": 5e-324}, "e_josephson_GHz"),
+        # these used to exit 2 from the kernel, after a sweep's earlier runs
+        ("supernova-shell", {"shell_mass_kg": -1.0}, "shell_mass_kg"),
+        ("supernova-shell", {"expansion_speed_m_per_s": -1e7}, "expansion_speed_m_per_s"),
     ])
     def test_bad_value_is_config_error(self, tmp_path, capsys, target, overrides, key):
         experiment = PRESETS[target]["experiment"]
@@ -541,6 +544,45 @@ class TestMainAndExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("output error: ") and err.count("\n") == 1
         assert str(folder / "x.json") in err
+
+    def test_sweep_with_a_collapsing_shell_writes_nothing(self, tmp_path, capsys):
+        # the shell's radius reaches 7e8 - 1e7 * 100 < 0 m before t_end_s
+        good = tmp_path / "a.json"
+        good.write_text(json.dumps(
+            {"experiment": "ElectricSidebands",
+             "parameters": {"drive_amplitude_uV": 1.0, "drive_frequency_MHz": 150.0},
+             "output": {"path": str(tmp_path / "a_out.json")}}))
+        bad = tmp_path / "b.json"
+        bad.write_text(json.dumps(
+            {"experiment": "GravPhase",
+             "parameters": {"preset": "supernova-shell", "expansion_speed_m_per_s": -1e7},
+             "output": {"path": str(tmp_path / "b_out.csv")}}))
+        assert main(["--sweep", str(good), str(bad)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("config error: radius_start_m, expansion_speed_m_per_s, t_end_s: ")
+        assert not (tmp_path / "a_out.json").exists()
+        assert not (tmp_path / "b_out.csv").exists()
+
+    @pytest.mark.parametrize("extra, named", [
+        (["fig3"], "target 'fig3'"),
+        (["--config", "c.json"], "--config 'c.json'"),
+        (["--out", "x.csv"], "--out 'x.csv'"),
+        (["--format", "csv"], "--format 'csv'"),
+    ])
+    def test_sweep_rejects_the_arguments_it_would_ignore(self, tmp_path, capsys, monkeypatch,
+                                                          extra, named):
+        # these were dropped without a word, and the sweep ran
+        monkeypatch.chdir(tmp_path)
+        conf = tmp_path / "a.json"
+        conf.write_text(json.dumps(
+            {"experiment": "ElectricSidebands",
+             "parameters": {"drive_amplitude_uV": 1.0, "drive_frequency_MHz": 150.0},
+             "output": {"path": str(tmp_path / "a_out.json")}}))
+        assert main([*extra, "--sweep", str(conf)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and named in err
+        assert list(tmp_path.iterdir()) == [conf]
 
     def test_sweep_rejects_colliding_outputs(self, tmp_path, capsys):
         conf = tmp_path / "one.json"
@@ -765,20 +807,21 @@ assert "scipy.integrate" not in sys.modules, scipy_modules()
 
 
 class TestTooOldScipy:
-    def test_fig3_exits_3_naming_the_version(self, tmp_path):
-        # A scipy 1.16 first on the path: this used to exit 1 after a
-        # 27-line ImportError traceback.
+    @pytest.mark.parametrize("version", ["1.16.0", "1.18.0"])
+    def test_fig3_exits_3_naming_the_version(self, tmp_path, version):
+        # Another scipy first on the path.  1.16 used to exit 1 after a
+        # 27-line ImportError traceback; 1.18 was called with 1.17's signature.
         fake = tmp_path / "fake" / "scipy"
         fake.mkdir(parents=True)
         (fake / "__init__.py").write_text("")
-        (fake / "version.py").write_text('version = "1.16.0"\n')
+        (fake / "version.py").write_text(f'version = "{version}"\n')
         src = str(Path(scalar_ab.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(fake.parent), src])}
         proc = subprocess.run([sys.executable, "-m", "scalar_ab.cli", "fig3", "--out", "fig3.csv"],
                               cwd=tmp_path, env=env, capture_output=True, text=True)
         assert proc.returncode == EXIT_DEPENDENCY_ERROR == 3
         assert proc.stderr.startswith("dependency error: ") and proc.stderr.count("\n") == 1
-        assert "found scipy 1.16.0" in proc.stderr
+        assert f"found scipy {version}" in proc.stderr
         assert not (tmp_path / "fig3.csv").exists()
 
 

@@ -268,18 +268,27 @@ class TestMassShell:
 class TestTwoLevelAtom:
     def test_from_transition_consistent(self):
         atom = TwoLevelAtom.from_transition(1.44316060e-25, 1.589 * E)
-        assert atom.energy_f > atom.energy_i
-        assert atom.rest_mass_f - atom.rest_mass_i == pytest.approx(
-            atom.transition_energy / C_LIGHT ** 2, rel=1e-6)
+        assert atom == TwoLevelAtom(rest_mass_i=1.44316060e-25, transition_energy=1.589 * E)
+        assert atom.delta_m == atom.transition_energy / C_LIGHT ** 2
+        assert atom.rest_mass_f == atom.rest_mass_i + atom.delta_m > atom.rest_mass_i
+
+    def test_keeps_the_transition_energy_bit_for_bit(self):
+        # It used to be stored as m*c^2 + dE and recovered by a subtraction
+        # that was 1.9e-6 relative off for Rb-87.
+        energy = 1.589 * E
+        atom = TwoLevelAtom(rest_mass_i=1.44316060e-25, transition_energy=energy)
+        assert atom.transition_energy.hex() == energy.hex()
+        assert atom.to_dict() == {"rest_mass_i": 1.44316060e-25, "transition_energy": energy}
 
     def test_rejects_inverted_levels(self):
-        with pytest.raises(ValueError, match="energy_f must exceed"):
-            TwoLevelAtom(energy_i=2.0, energy_f=1.0, rest_mass_i=1.0, rest_mass_f=1.0)
+        for energy in (0.0, -1.589 * E, math.nan):
+            with pytest.raises(ValueError, match="transition_energy must be strictly positive"):
+                TwoLevelAtom(rest_mass_i=1.44316060e-25, transition_energy=energy)
 
-    def test_rejects_mass_energy_mismatch(self):
-        with pytest.raises(ValueError, match="rest_mass_f - rest_mass_i"):
-            TwoLevelAtom(energy_i=1e-10, energy_f=2e-10,
-                         rest_mass_i=1e-26, rest_mass_f=2e-26)
+    def test_rejects_nonpositive_rest_mass(self):
+        for mass in (0.0, -1e-25, math.nan):
+            with pytest.raises(ValueError, match="rest_mass_i must be strictly positive"):
+                TwoLevelAtom(rest_mass_i=mass, transition_energy=1.589 * E)
 
     def test_round_trip(self):
         atom = TwoLevelAtom.from_transition(9.4526e-26, 14.4e3 * E)

@@ -100,7 +100,7 @@ class TestRedshiftedFrequency:
         f_far = redshifted_frequency(f_local, EARTH_POTENTIAL)
         assert f_far < f_local  # redshift for a negative potential
         shift = (f_local - f_far) / f_local
-        assert shift == pytest.approx(EARTH_FRACTIONAL_SHIFT, rel=1e-6)
+        assert shift == pytest.approx(EARTH_FRACTIONAL_SHIFT, rel=1e-6, abs=0.0)
 
     def test_small_potential_shift_is_linear(self):
         f_local = 1e15
@@ -118,26 +118,30 @@ class TestModulationIndices:
         indices = modulation_indices(atom, earth_shell(m1=0.0))
         assert indices == (0.0, 0.0, 0.0)
 
-    def test_degenerate_masses_unsplit(self):
-        # A transition small enough that both levels share a double-precision
-        # rest mass: the individual indices survive but the splitting is zero.
-        atom = TwoLevelAtom(energy_i=1e-10, energy_f=1e-10 + 1e-24,
-                            rest_mass_i=1e-25, rest_mass_f=1e-25)
+    def test_degenerate_masses_still_split(self):
+        # A transition too small to change the upper level's double-precision
+        # rest mass: the splitting comes from delta_m itself, so it survives
+        # although the two masses, and the two depths, are equal.
+        atom = TwoLevelAtom(rest_mass_i=1e-25, transition_energy=1e-25)
         shell = earth_shell(m1=1e20)
         indices = modulation_indices(atom, shell)
+        assert atom.rest_mass_f == atom.rest_mass_i
         assert indices.alpha_i == indices.alpha_f != 0.0
-        assert indices.delta_alpha == 0.0
+        scale = G * shell.m1 / (HBAR * shell.omega * shell.radius)
+        assert indices.delta_alpha == scale * (1e-25 / C ** 2) != 0.0
 
     def test_two_path_evaluation_agrees(self):
         # 1 eV transition, M1 = 1 kg, r0 = 1 m, omega = 2*pi*1 Hz.
         atom = TwoLevelAtom.from_transition(1e-26, 1.0 * E)
         shell = MassShell(m0=2.0, m1=1.0, radius=1.0, omega=2 * math.pi)
         indices = modulation_indices(atom, shell)
+        # delta_alpha is 1.8e-13 here: approx's default abs=1e-12 would pass anything
         delta_m = atom.transition_energy / C ** 2
         independent = G * shell.m1 * delta_m / (HBAR * shell.omega * shell.radius)
-        assert indices.delta_alpha == pytest.approx(independent, rel=1e-9)
+        assert indices.delta_alpha == pytest.approx(independent, rel=1e-9, abs=0.0)
+        # alpha_f - alpha_i cancels ten digits (delta_m/m_i = 1.8e-10)
         assert indices.delta_alpha == pytest.approx(
-            indices.alpha_f - indices.alpha_i, rel=1e-9)
+            indices.alpha_f - indices.alpha_i, rel=1e-5, abs=0.0)
 
     def test_scaling_laws(self):
         atom = TwoLevelAtom.from_transition(1e-26, 2.0 * E)
@@ -146,21 +150,20 @@ class TestModulationIndices:
         for factor in (2.0, 5.0, 10.0):
             up_m1 = MassShell(m0=10.0, m1=factor * 1.0, radius=2.0, omega=4 * math.pi)
             assert modulation_indices(atom, up_m1).delta_alpha == pytest.approx(
-                factor * d0, rel=1e-9)
+                factor * d0, rel=1e-9, abs=0.0)
             up_omega = MassShell(m0=10.0, m1=1.0, radius=2.0,
                                  omega=factor * 4 * math.pi)
             assert modulation_indices(atom, up_omega).delta_alpha == pytest.approx(
-                d0 / factor, rel=1e-9)
+                d0 / factor, rel=1e-9, abs=0.0)
             up_radius = MassShell(m0=10.0, m1=1.0, radius=factor * 2.0,
                                   omega=4 * math.pi)
             assert modulation_indices(atom, up_radius).delta_alpha == pytest.approx(
-                d0 / factor, rel=1e-9)
+                d0 / factor, rel=1e-9, abs=0.0)
 
 
 def synthetic_atom_and_shell(delta_alpha, m0=1e6):
     """Pick shell parameters that realize the requested splitting index."""
-    atom = TwoLevelAtom(energy_i=1e-10, energy_f=1e-10 + 1e-12 * C ** 2,
-                        rest_mass_i=1e-11, rest_mass_f=1e-11 + 1e-12)
+    atom = TwoLevelAtom(rest_mass_i=1e-11, transition_energy=1e-12 * C ** 2)
     omega = 2 * math.pi
     m1 = delta_alpha * HBAR * omega * 1.0 / (G * 1e-12)
     shell = MassShell(m0=max(m0, abs(m1)), m1=m1, radius=1.0, omega=omega)
@@ -175,7 +178,7 @@ class TestTransitionSidebandSpectrum:
         assert len(spectrum.lines_above(0.0)) == 1
         local = atom.transition_energy / H
         assert (local - spectrum.carrier_frequency) / local == pytest.approx(
-            EARTH_FRACTIONAL_SHIFT, rel=1e-6)
+            EARTH_FRACTIONAL_SHIFT, rel=1e-6, abs=0.0)
 
     def test_depth_five_splitting(self):
         atom, shell = synthetic_atom_and_shell(5.0)
@@ -321,18 +324,18 @@ class TestMassEnergyConsistencyChain:
         for _ in range(100):
             m_i = 10.0 ** rng.uniform(-27, -20)
             delta_m = m_i * 10.0 ** rng.uniform(-2, -0.3)
-            e_i = m_i * C ** 2
-            atom = TwoLevelAtom(energy_i=e_i, energy_f=e_i + delta_m * C ** 2,
-                                rest_mass_i=m_i, rest_mass_f=m_i + delta_m)
+            atom = TwoLevelAtom(rest_mass_i=m_i, transition_energy=delta_m * C ** 2)
             shell = MassShell(m0=10.0 ** rng.uniform(5, 25),
                               m1=0.0, radius=10.0 ** rng.uniform(0, 8),
                               omega=10.0 ** rng.uniform(-3, 6))
             shell = MassShell(m0=shell.m0, m1=0.37 * shell.m0,
                               radius=shell.radius, omega=shell.omega)
-            via_masses = modulation_indices(atom, shell).delta_alpha
+            indices = modulation_indices(atom, shell)
             via_energy = (G * shell.m1 * (atom.transition_energy / C ** 2)
                           / (HBAR * shell.omega * shell.radius))
-            assert via_masses == pytest.approx(via_energy, rel=1e-12)
+            assert indices.delta_alpha == pytest.approx(via_energy, rel=1e-12)
+            # the level depths, from the two rest masses, agree with it
+            assert indices.alpha_f - indices.alpha_i == pytest.approx(via_energy, rel=1e-12)
 
 
 # The earth-shell preset: a 1e10 kg AC mass on the Earth shell, and the
@@ -357,15 +360,44 @@ class TestSidebandRecord:
         assert record == {**spectrum.to_dict(), "alpha_i": indices.alpha_i,
                           "alpha_f": indices.alpha_f,
                           "carrier_fractional_shift": record["carrier_fractional_shift"]}
+        # the shift is (f_local - carrier)/f_local, which cancels nine digits
         local = atom.transition_energy / H
-        assert record["carrier_fractional_shift"] == (local - spectrum.carrier_frequency) / local
+        assert record["carrier_fractional_shift"] == pytest.approx(
+            (local - spectrum.carrier_frequency) / local, rel=1e-6, abs=0.0)
 
     def test_fractional_shift_near_the_closed_form(self):
-        # (f_local - carrier)/f_local cancels nine digits: it reads 2.9e-8
+        # It used to be (f_local - carrier)/f_local, which read 2.9e-8
         # relative above |Phi|/c^2 / (1 + |Phi|/c^2).
         record = sideband_record(*rb87_in_earth_shell())
+        # (approx's default abs=1e-12 would pass any value this small)
         assert record["carrier_fractional_shift"] == pytest.approx(EARTH_FRACTIONAL_SHIFT,
-                                                                   rel=1e-7)
+                                                                   rel=1e-15, abs=0.0)
+
+    def test_earth_shell_numbers_match_the_closed_forms(self):
+        # From the inputs alone; the atom used to recover its transition
+        # energy by a subtraction that put the carrier 1.9e-6 and delta_alpha
+        # 2.4e-6 relative off.
+        atom, shell = rb87_in_earth_shell()
+        record = sideband_record(atom, shell)
+        energy = 1.589 * E
+        x = G * EARTH_MASS / (EARTH_RADIUS * C ** 2)
+        scale = G * shell.m1 / (HBAR * shell.omega * EARTH_RADIUS)
+        want = {"carrier_frequency_Hz": energy / H / (1.0 + x),
+                "delta_alpha": scale * energy / C ** 2,
+                "carrier_fractional_shift": x / (1.0 + x)}
+        for name, value in want.items():
+            assert abs(record[name] - value) <= 1e-15 * value, name
+
+    def test_delta_alpha_matches_mpmath(self):
+        import mpmath
+
+        atom, shell = rb87_in_earth_shell()
+        with mpmath.workdps(40):
+            mp = mpmath.mpf
+            want = (mp(G) * mp(shell.m1) * mp(atom.transition_energy) / mp(C) ** 2
+                    / (mp(HBAR) * mp(shell.omega) * mp(shell.radius)))
+            got = modulation_indices(atom, shell).delta_alpha
+            assert abs(mp(got) - want) <= mp(1e-12) * want
 
     def test_automatic_truncation_is_the_default_one(self):
         atom, shell = rb87_in_earth_shell()
