@@ -91,8 +91,6 @@ class ExperimentConfig:
     experiment: str
     parameters: Mapping[str, Any]
     output_path: str
-    output_format: str
-    numerics: Mapping[str, Any] = field(default_factory=dict)  # the numerics keys given
     inputs: Any = None  # what the experiment's build made of the parameters
 
 
@@ -608,7 +606,6 @@ def parse_config(text: str | Mapping[str, Any]) -> ExperimentConfig:
 
     numerics = _validate(_section(data, "numerics"), entry.numerics, "numerics", {})
     return ExperimentConfig(experiment=experiment, parameters=params, output_path=path,
-                            output_format=fmt, numerics=numerics,
                             inputs=entry.build(params, numerics))
 
 

@@ -13,7 +13,6 @@ concurrent parameter sweeps without synchronization.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, fields
 from typing import Any, Iterable, Mapping, Self, Sequence
@@ -57,11 +56,12 @@ def _readonly(values: Iterable[float], dtype: Any = float) -> np.ndarray:
 
 def _write_csv(path: str, header: Sequence[str], *columns: np.ndarray) -> None:
     """The CSV schema of every output table: a header row, then one row per
-    sample with each value to 17 significant digits (it round-trips)."""
+    sample with each value to 17 significant digits (it round-trips), each
+    row ended by CRLF.  No field needs quoting."""
+    row = ",".join(["{:.17g}"] * len(columns)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([f"{v:.17g}" for v in row] for row in zip(*columns))
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(row.format(*values) for values in zip(*(c.tolist() for c in columns)))
 
 
 def _plain(value: Any) -> Any:
@@ -344,69 +344,23 @@ class Trajectory(_FieldDict):
                    self.times, self.delta_phi, self.delta_phi_dot)
 
 
-class _Rows:
-    """Rows keyed by a read-only int64 array ``n``, with read-only value
-    columns: the storage shared by the spectrum types.
+class _Coefficients(Mapping):
+    """Read-only ``Mapping[int, complex]`` n -> c_n over a read-only int64
+    key array ``n``, ascending, and a complex128 column ``c``: the storage
+    of the spectrum types.
 
-    :meth:`find` gives the first row keyed n in storage order, or -1, as a
-    scan would: by offset arithmetic when the keys step by one (every
-    producer stores n = -N..N), else by ``np.searchsorted`` on a stable
-    argsort.  Two stores of one type are equal when their arrays are.
+    A lookup is offset arithmetic when the keys step by one (every producer
+    stores n = -N..N), else ``np.searchsorted``.  Two stores are equal when
+    their arrays are.
     """
 
-    __slots__ = ("n", "columns", "_lo", "_order", "_keys")
+    __slots__ = ("n", "c", "_lo")
 
-    def __init__(self, n: Any, *columns: np.ndarray) -> None:
+    def __init__(self, n: Any, c: Any) -> None:
         self.n = _readonly(n, np.int64)
-        self.columns = tuple(_readonly(c, c.dtype) for c in columns)
+        self.c = _readonly(c, complex)
         contiguous = len(self.n) and (self.n[1:] - self.n[:-1] == 1).all()
         self._lo = int(self.n[0]) if contiguous else None
-        if self._lo is None:
-            self._order = np.argsort(self.n, kind="stable")
-            self._keys = self.n[self._order]
-
-    def __len__(self) -> int:
-        return len(self.n)
-
-    def rows(self, index: Any = slice(None)) -> Iterable[tuple]:
-        """(n, *columns) of the rows picked by ``index``, as Python scalars."""
-        return zip(self.n[index].tolist(), *(c[index].tolist() for c in self.columns))
-
-    def max_abs_n(self) -> int:
-        """max |n| over the rows (0 when empty): the two end keys when the
-        keys step by one."""
-        if self._lo is not None:
-            return max(-self._lo, int(self.n[-1]))
-        return int(np.abs(self.n).max(initial=0))
-
-    def find(self, n: Any) -> int:
-        try:
-            k = int(n)
-        except (TypeError, ValueError, OverflowError):
-            return -1
-        if k != n:
-            return -1
-        if self._lo is not None:
-            i = k - self._lo
-            return i if 0 <= i < len(self.n) else -1
-        j = int(np.searchsorted(self._keys, k))
-        return int(self._order[j]) if j < len(self._keys) and self._keys[j] == k else -1
-
-    def __eq__(self, other: Any) -> bool:
-        if type(other) is type(self):
-            return all(np.array_equal(x, y) for x, y in
-                       zip((self.n, *self.columns), (other.n, *other.columns)))
-        return super().__eq__(other)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({list(self.rows())!r})"
-
-
-class _Coefficients(_Rows, Mapping):
-    """Read-only ``Mapping[int, complex]`` n -> c_n over a complex128 column,
-    keys ascending."""
-
-    __slots__ = ()
 
     @classmethod
     def of(cls, coefficients: Mapping[int, complex]) -> "_Coefficients":
@@ -418,40 +372,47 @@ class _Coefficients(_Rows, Mapping):
         order = np.argsort(n, kind="stable")
         return cls(n[order], c[order])
 
+    def find(self, n: Any) -> int:
+        """The index of the first key n, or -1."""
+        try:
+            k = int(n)
+        except (TypeError, ValueError, OverflowError):
+            return -1
+        if k != n:
+            return -1
+        if self._lo is not None:
+            i = k - self._lo
+            return i if 0 <= i < len(self.n) else -1
+        j = int(np.searchsorted(self.n, k))
+        return j if j < len(self.n) and self.n[j] == k else -1
+
+    def max_abs_n(self) -> int:
+        """max |n| over the keys (0 when empty): an end key, as they ascend."""
+        return max(-int(self.n[0]), int(self.n[-1])) if len(self.n) else 0
+
     def __getitem__(self, n: int) -> complex:
         i = self.find(n)
         if i < 0:
             raise KeyError(n)
-        return complex(self.columns[0][i])
+        return complex(self.c[i])
 
     def __iter__(self):
         return iter(self.n.tolist())
 
+    def __len__(self) -> int:
+        return len(self.n)
+
+    def __eq__(self, other: Any) -> bool:
+        if type(other) is type(self):
+            return np.array_equal(self.n, other.n) and np.array_equal(self.c, other.c)
+        return super().__eq__(other)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self)!r})"
+
     def to_list(self) -> list[dict[str, Any]]:
-        c = self.columns[0]
         return [{"n": n, "re": re, "im": im}
-                for n, re, im in zip(self.n.tolist(), c.real.tolist(), c.imag.tolist())]
-
-
-class _Lines(_Rows, Sequence):
-    """Read-only sequence of (n, frequency, amplitude) lines over int64 and
-    float64 columns, in the order given."""
-
-    __slots__ = ()
-
-    @classmethod
-    def of(cls, lines: Iterable[tuple[int, float, float]]) -> "_Lines":
-        if isinstance(lines, cls):
-            return lines
-        n, f, a = tuple(zip(*lines)) or ((), (), ())
-        return cls([int(k) for k in n], np.array(f, dtype=float), np.array(a, dtype=float))
-
-    def __getitem__(self, i: int) -> tuple[int, float, float]:
-        f, a = self.columns
-        return (int(self.n[i]), float(f[i]), float(a[i]))
-
-    def __iter__(self):
-        return iter(self.rows())
+                for n, re, im in zip(self.n.tolist(), self.c.real.tolist(), self.c.imag.tolist())]
 
 
 def _check_norm(owner: str, term: str, values: np.ndarray, tol: float, bound: str) -> None:
@@ -487,7 +448,7 @@ class SidebandSpectrum:
         _require(self.truncation_n >= 0, "SidebandSpectrum.truncation_n must be >= 0")
         _require(coeffs.max_abs_n() <= self.truncation_n,
                  "SidebandSpectrum coefficients must lie within |n| <= truncation_n")
-        _check_norm("SidebandSpectrum", "|c_n|^2", coeffs.columns[0], self.norm_tol,
+        _check_norm("SidebandSpectrum", "|c_n|^2", coeffs.c, self.norm_tol,
                     "norm_tol={tol:g}")
 
     def energy_of(self, n: int) -> float:

@@ -20,9 +20,9 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import (C_LIGHT, G_NEWTON, HBAR, PLANCK_H, MassShell, TwoLevelAtom,
-                   _check_norm, _Lines, _require)
-from .spectral import _bessel_row, _check_bessel_arg, default_truncation, required_truncation
+from .core import (C_LIGHT, G_NEWTON, HBAR, PLANCK_H, MassShell, SidebandSpectrum,
+                   TwoLevelAtom, _require)
+from .spectral import _check_bessel_arg, default_truncation, jacobi_anger_coeffs
 
 if TYPE_CHECKING:
     from .ab_phase import PhaseHistory
@@ -136,54 +136,50 @@ def modulation_indices(atom: TwoLevelAtom, shell: MassShell) -> ModulationIndice
 class TransitionSpectrum:
     """Observable emission/absorption line pattern of the enclosed atom.
 
-    ``sideband_lines`` holds (n, frequency in Hz, relative amplitude); line n
-    sits at carrier + n*omega/(2*pi) with amplitude |J_n(delta_alpha)|, so
-    the squared amplitudes sum to one.  The lines may be given as any
-    sequence of tuples and are stored as a read-only sequence over arrays,
-    in the given order.
+    Stores the carrier, the splitting index and the Jacobi-Anger
+    ``spectrum`` of that index, whose ``omega`` is the shell's modulation
+    frequency; the lines are derived from them.  Line n sits
+    ``offset`` = n*omega/(2*pi) from the carrier, at carrier + offset, with
+    relative amplitude |c_n| = |J_n(delta_alpha)|, so the squared
+    amplitudes sum to one.  Near an optical carrier the frequencies of
+    neighbouring lines round to one float64; their offsets stay distinct.
     """
 
     carrier_frequency: float   # Hz, DC-redshifted unsplit line
-    omega: float               # rad/s, shell modulation frequency
     delta_alpha: float
-    sideband_lines: Sequence[tuple[int, float, float]]
+    spectrum: SidebandSpectrum
 
-    def __post_init__(self) -> None:
-        lines = _Lines.of(self.sideband_lines)
-        object.__setattr__(self, "sideband_lines", lines)
-        _require(self.omega > 0.0, "TransitionSpectrum.omega must be positive")
-        spacing = self.omega / (2.0 * math.pi)
-        freqs, amps = lines.columns
-        expected = self.carrier_frequency + lines.n * spacing
-        bad_amp = ~(amps >= 0.0)
-        bad = bad_amp | ~(np.abs(freqs - expected)
-                          <= 1e-9 * np.maximum(np.abs(expected), spacing))
-        if bad.any():
-            # report the first bad line, amplitude before frequency
-            _require(not bad_amp[np.argmax(bad)],
-                     "TransitionSpectrum amplitudes must be non-negative")
-            _require(False, "TransitionSpectrum line frequencies must follow "
-                            "carrier + n*omega/2pi")
-        _check_norm("TransitionSpectrum", "amp^2", amps, 1e-9, "1e-9")
+    @property
+    def omega(self) -> float:
+        """rad/s, the shell's modulation frequency."""
+        return self.spectrum.omega
+
+    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(n, offset in Hz, frequency in Hz, amplitude) per line, n ascending."""
+        coeffs = self.spectrum.coefficients
+        offsets = coeffs.n * self.omega / (2.0 * math.pi)
+        return coeffs.n, offsets, self.carrier_frequency + offsets, np.abs(coeffs.c)
+
+    @property
+    def sideband_lines(self) -> list[tuple[int, float, float]]:
+        """(n, frequency in Hz, relative amplitude) per line, n ascending."""
+        n, _, freqs, amps = self._columns()
+        return list(zip(n.tolist(), freqs.tolist(), amps.tolist()))
 
     def amplitude(self, n: int) -> float:
-        i = self.sideband_lines.find(n)
-        return float(self.sideband_lines.columns[1][i]) if i >= 0 else 0.0
+        return abs(self.spectrum.amplitude(n))
 
     def lines_above(self, threshold: float) -> list[tuple[int, float, float]]:
-        lines = self.sideband_lines
-        return list(lines.rows(lines.columns[1] > threshold))
+        return [line for line in self.sideband_lines if line[2] > threshold]
 
     def to_dict(self) -> dict:
-        lines = self.sideband_lines
-        freqs, amps = lines.columns
         return {
             "carrier_frequency_Hz": self.carrier_frequency,
             "omega_rad_per_s": self.omega,
             "delta_alpha": self.delta_alpha,
             "sideband_lines": [
-                {"n": n, "frequency_Hz": f, "relative_amplitude": a}
-                for n, f, a in lines.rows(np.lexsort((amps, freqs, lines.n)))
+                {"n": n, "offset_Hz": o, "frequency_Hz": f, "relative_amplitude": a}
+                for n, o, f, a in zip(*(column.tolist() for column in self._columns()))
             ],
         }
 
@@ -195,25 +191,17 @@ def transition_sideband_spectrum(atom: TwoLevelAtom, shell: MassShell,
     The carrier is the transition frequency redshifted by the DC potential
     -G*M0/r0; sidebands at carrier + n*omega/2pi carry relative amplitudes
     |J_n(delta_alpha)|.  For large delta_alpha the dominant sidebands sit
-    near n = +-delta_alpha.  |delta_alpha| >= 1e6 is rejected with the cap.
+    near n = +-delta_alpha.  |delta_alpha| >= 1e6 is rejected with the cap,
+    and a truncation below ``spectral.required_truncation`` with the minimum.
     """
     indices = modulation_indices(atom, shell)
     _check_bessel_arg("transition_sideband_spectrum", "delta_alpha", indices.delta_alpha)
-    needed = required_truncation(indices.delta_alpha)
-    if truncation_n < needed:
-        raise ValueError(
-            f"transition_sideband_spectrum: truncation_n={truncation_n} too small "
-            f"for delta_alpha={indices.delta_alpha:g}; need >= {needed}")
     local_frequency = atom.transition_energy / PLANCK_H
     dc_potential = -G_NEWTON * shell.m0 / shell.radius
-    carrier = redshifted_frequency(local_frequency, dc_potential)
-    spacing = shell.omega / (2.0 * math.pi)
-    row = _bessel_row(abs(indices.delta_alpha), truncation_n)
-    ns = np.arange(-truncation_n, truncation_n + 1)
-    return TransitionSpectrum(carrier_frequency=carrier, omega=shell.omega,
-                              delta_alpha=indices.delta_alpha,
-                              sideband_lines=_Lines(ns, carrier + ns * spacing,
-                                                    np.abs(row[np.abs(ns)])))
+    return TransitionSpectrum(
+        carrier_frequency=redshifted_frequency(local_frequency, dc_potential),
+        delta_alpha=indices.delta_alpha,
+        spectrum=jacobi_anger_coeffs(indices.delta_alpha, truncation_n, omega=shell.omega))
 
 
 def sideband_record(atom: TwoLevelAtom, shell: MassShell,

@@ -260,7 +260,7 @@ class FloquetDecomposition:
         # Parseval on the analysis grid: 1 - sum |c_n|^2 <= residual^2, so a
         # residual_tol looser than ~3e-5 loosens the norm bound with it.
         norm_tol = max(1e-9, self.residual_tol ** 2)
-        _check_norm("FloquetDecomposition", "|c_n|^2", coeffs.columns[0], norm_tol,
+        _check_norm("FloquetDecomposition", "|c_n|^2", coeffs.c, norm_tol,
                     "1e-9" if norm_tol == 1e-9 else "residual_tol^2={tol:g}")
         _require(self.residual <= self.residual_tol,
                  f"FloquetDecomposition residual {self.residual:.3g} exceeds "

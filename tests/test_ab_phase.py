@@ -55,7 +55,7 @@ class TestElectricPhase:
 
     def test_cooper_pair_fm_depth_matches_frozen_value(self):
         alpha = 2 * E * 1e-6 / (HBAR * OMEGA_DRIVE)
-        assert alpha == pytest.approx(ALPHA_COOPER_PAIR, rel=1e-12)
+        assert alpha == pytest.approx(ALPHA_COOPER_PAIR, rel=1e-12, abs=0.0)
         drive = DriveWaveform.sinusoid(1e-6, OMEGA_DRIVE)
         grid = np.linspace(0.0, 3 / 150e6, 1501)
         history = accumulate_electric_phase(2 * E, drive, grid)

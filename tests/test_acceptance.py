@@ -124,7 +124,7 @@ def test_criterion_05_energy_conservation_10k_periods():
     params = CircuitParams(**{**FIG3_ELEMENTS,
                               "e_josephson": phi_sq / FIG3_ELEMENTS["inductance"]})
     eom = build_eom(params, None)
-    assert eom.nonlinear_coeff == pytest.approx(eom.omega_c ** 2, rel=1e-9)
+    assert eom.nonlinear_coeff == pytest.approx(eom.omega_c ** 2, rel=1e-9, abs=0.0)
     period = 2 * math.pi / eom.omega_c
     trajectory = integrate_trajectory(eom, 1.0, 0.0, (0.0, 1e4 * period),
                                       StepControl(), n_samples=2001)

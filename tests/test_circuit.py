@@ -45,13 +45,13 @@ class TestBuildEom:
         assert eom.nonlinear_coeff == 0.0
         assert eom.drive_coeff == 0.0
         assert eom.omega_c == pytest.approx(
-            1.0 / math.sqrt(FIG3["inductance"] * FIG3["c_prime"]), rel=1e-15)
+            1.0 / math.sqrt(FIG3["inductance"] * FIG3["c_prime"]), rel=1e-15, abs=0.0)
 
     def test_fig3_small_oscillation_frequency(self):
         drive = DriveWaveform.sinusoid(1e-6, OMEGA_DRIVE)
         eom = build_eom(fig3_params(), drive)
         assert eom.small_oscillation_frequency == pytest.approx(
-            2 * math.pi * 8.5e9, rel=1e-12)
+            2 * math.pi * 8.5e9, rel=1e-12, abs=0.0)
 
     def test_zero_amplitude_drive_drops_out(self):
         drive = DriveWaveform.sinusoid(0.0, OMEGA_DRIVE)
@@ -63,7 +63,7 @@ class TestBuildEom:
         drive = DriveWaveform.sinusoid(1e-6, OMEGA_DRIVE)
         eom = build_eom(fig3_params(), drive)
         expected = (2 * E / HBAR) * FIG3["c_gate"] * OMEGA_DRIVE / FIG3["c_sigma"]
-        assert eom.drive_coeff == pytest.approx(expected, rel=1e-15)
+        assert eom.drive_coeff == pytest.approx(expected, rel=1e-15, abs=0.0)
 
     def test_rejects_sampled_drive_with_guidance(self):
         sampled = DriveWaveform.sampled([0.0, 1e-8], [0.0, 0.0])
@@ -231,7 +231,7 @@ class TestIntegrateTrajectory:
             traj = integrate_trajectory(eom, 0.0, 0.0, (0.0, 20e-9),
                                         n_samples=2001)
             ratios.append(np.max(np.abs(traj.delta_phi)) / scale)
-        assert ratios[0] == pytest.approx(ratios[1], rel=0.01)
+        assert ratios[0] == pytest.approx(ratios[1], rel=0.01, abs=0.0)
 
     def test_rk4_converges_at_fourth_order(self):
         eom = build_eom(fig3_params(), None)
@@ -567,7 +567,7 @@ class TestHarmonicLevelSpacing:
         landscape = potential_landscape(params, (-1.0, 1.0), 201)
         eom = build_eom(params, None)
         spacing = harmonic_level_spacing(landscape, params, 0)
-        assert spacing == pytest.approx(HBAR * eom.omega_c, rel=1e-12)
+        assert spacing == pytest.approx(HBAR * eom.omega_c, rel=1e-12, abs=0.0)
 
     def test_central_well_matches_finite_difference(self):
         params = fig3_params(inductance=0.0, e_inductive=1e9 * H,
@@ -587,7 +587,7 @@ class TestHarmonicLevelSpacing:
         curvature = (u(phi_star + h) - 2 * u(phi_star) + u(phi_star - h)) / h ** 2
         m_eff = (HBAR / (2 * E)) ** 2 * params.c_sigma
         assert spacing == pytest.approx(HBAR * math.sqrt(curvature / m_eff),
-                                        rel=1e-6)
+                                        rel=1e-6, abs=0.0)
         assert spacing > 0.0
 
     def test_rejects_non_minimum(self):

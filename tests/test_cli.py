@@ -894,6 +894,37 @@ class TestNoBlasCall:
         assert {name: found for name, found in uses.items() if found} == {}
 
 
+def rel_only_approx(source):
+    """(line, call) for each ``approx(...)`` in ``source`` given ``rel=`` but
+    no ``abs=``.  approx then also accepts anything within its default
+    abs=1e-12 of the expected value, so such a comparison of quantities
+    below ~1e-12 checks nothing: 2e-24 == approx(1e-24, rel=1e-15)."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "approx":
+            given = {keyword.arg for keyword in node.keywords}
+            if "rel" in given and "abs" not in given:
+                yield node.lineno, ast.unparse(node)
+
+
+class TestApproxStatesAbs:
+    @pytest.mark.parametrize("source", [
+        "pytest.approx(x, rel=1e-9)", "approx(1e-24, rel=1e-15)",
+        "assert (y ==\n    pytest.approx(x,\n                  rel=1e-12))"])
+    def test_detector_finds_rel_without_abs(self, source):
+        assert list(rel_only_approx(source))
+
+    def test_detector_passes_an_explicit_abs(self):
+        assert not list(rel_only_approx(
+            "pytest.approx(x, rel=1e-9, abs=0.0)\npytest.approx(x, abs=1e-8)\napprox(x)"))
+
+    def test_no_test_compares_by_rel_alone(self):
+        here = Path(__file__).parent
+        found = {path.name: list(rel_only_approx(path.read_text(encoding="utf-8")))
+                 for path in sorted(here.glob("test_*.py"))}
+        assert len(found) >= 7
+        assert {name: calls for name, calls in found.items() if calls} == {}
+
+
 class TestDeterminism:
     def test_identical_configs_byte_identical_csv(self, tmp_path, capsys):
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"

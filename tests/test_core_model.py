@@ -57,10 +57,10 @@ class TestCircuitParams:
     def test_derives_energy_from_inductance_and_back(self):
         p = make_circuit_params()
         phi_sq = (CODATA2018.hbar / (2 * E)) ** 2
-        assert p.e_inductive == pytest.approx(phi_sq / p.inductance, rel=1e-15)
-        assert p.l_josephson == pytest.approx(phi_sq / p.e_josephson, rel=1e-15)
+        assert p.e_inductive == pytest.approx(phi_sq / p.inductance, rel=1e-15, abs=0.0)
+        assert p.l_josephson == pytest.approx(phi_sq / p.e_josephson, rel=1e-15, abs=0.0)
         via_energy = make_circuit_params(inductance=0.0, e_inductive=p.e_inductive)
-        assert via_energy.inductance == pytest.approx(p.inductance, rel=1e-12)
+        assert via_energy.inductance == pytest.approx(p.inductance, rel=1e-12, abs=0.0)
 
     def test_rejects_inconsistent_pair(self):
         with pytest.raises(ValueError, match="e_inductive inconsistent"):
@@ -98,7 +98,7 @@ class TestCircuitParams:
 class TestDriveWaveform:
     def test_sinusoid_period(self):
         w = DriveWaveform.sinusoid(1e-6, 2 * math.pi * 150e6)
-        assert w.period == pytest.approx(1 / 150e6, rel=1e-12)
+        assert w.period == pytest.approx(1 / 150e6, rel=1e-12, abs=0.0)
         assert w.value(0.0) == pytest.approx(1e-6)
 
     def test_sampled_periodic_extension(self):
@@ -106,7 +106,7 @@ class TestDriveWaveform:
         v = np.sin(2 * math.pi * t) ** 2
         v[-1] = v[0]
         w = DriveWaveform.sampled(t, v)
-        assert w.value(0.25) == pytest.approx(w.value(3.25), rel=1e-12)
+        assert w.value(0.25) == pytest.approx(w.value(3.25), rel=1e-12, abs=0.0)
 
     def test_antiderivative_matches_dense_trapezoid(self):
         t = np.linspace(0.0, 2.0, 33)

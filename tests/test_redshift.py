@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from scalar_ab.ab_phase import PhaseHistory, accumulate_grav_phase
-from scalar_ab.core import CODATA2018, MassShell, TwoLevelAtom
+from scalar_ab.core import CODATA2018, MassShell, SidebandSpectrum, TwoLevelAtom
 from scalar_ab.redshift import (TransitionSpectrum, exploding_shell_phase,
                                 exploding_shell_potential, ion_cancellation_check,
                                 modulation_indices, redshifted_frequency,
@@ -45,14 +45,14 @@ class TestShellPotential:
 
     def test_earth_preset_value(self):
         assert shell_potential(earth_shell(), 0.0) == pytest.approx(
-            EARTH_POTENTIAL, rel=1e-12)
-        assert shell_potential(earth_shell(), 0.0) == pytest.approx(-6.26e7, rel=1e-3)
+            EARTH_POTENTIAL, rel=1e-12, abs=0.0)
+        assert shell_potential(earth_shell(), 0.0) == pytest.approx(-6.26e7, rel=1e-3, abs=0.0)
 
     def test_half_period_flips_ac_sign(self):
         shell = earth_shell(m1=1e20)
         t_half = math.pi / shell.omega
         expected = -G * (shell.m0 - shell.m1) / shell.radius
-        assert shell_potential(shell, t_half) == pytest.approx(expected, rel=1e-9)
+        assert shell_potential(shell, t_half) == pytest.approx(expected, rel=1e-9, abs=0.0)
 
     def test_vectorized_over_time(self):
         shell = earth_shell(m1=1e20)
@@ -64,7 +64,7 @@ class TestShellPotential:
     def test_exploding_shell_samples(self):
         grid = np.linspace(0.0, 10.0, 11)
         samples = exploding_shell_potential(2.8e30, lambda t: 7e8 + 1e7 * t, grid)
-        assert samples[0][1] == pytest.approx(-G * 2.8e30 / 7e8, rel=1e-12)
+        assert samples[0][1] == pytest.approx(-G * 2.8e30 / 7e8, rel=1e-12, abs=0.0)
         assert samples[-1][1] > samples[0][1]  # shallower as the shell expands
         history = accumulate_grav_phase([(0.0, 1e-25), (10.0, 1e-25)], samples, grid)
         assert history.phase[-1] < 0.0
@@ -80,7 +80,7 @@ class TestRestMassInPotential:
         base = rest_mass_in_potential(9e16, 0.0)
         inside = rest_mass_in_potential(9e16, EARTH_POTENTIAL)
         assert inside == pytest.approx(base / (1.0 - EARTH_POTENTIAL / C ** 2),
-                                       rel=1e-15)
+                                       rel=1e-15, abs=0.0)
         assert inside != base
 
     def test_zero_energy_zero_mass(self):
@@ -109,7 +109,7 @@ class TestRedshiftedFrequency:
             return (f_local - redshifted_frequency(f_local, potential)) / f_local
 
         ratio = shift(2 * EARTH_POTENTIAL) / shift(EARTH_POTENTIAL)
-        assert ratio == pytest.approx(2.0, rel=1e-3)
+        assert ratio == pytest.approx(2.0, rel=1e-3, abs=0.0)
 
 
 class TestModulationIndices:
@@ -183,7 +183,7 @@ class TestTransitionSidebandSpectrum:
     def test_depth_five_splitting(self):
         atom, shell = synthetic_atom_and_shell(5.0)
         spectrum = transition_sideband_spectrum(atom, shell, 25)
-        assert spectrum.delta_alpha == pytest.approx(5.0, rel=1e-9)
+        assert spectrum.delta_alpha == pytest.approx(5.0, rel=1e-9, abs=0.0)
         strong = spectrum.lines_above(0.01)
         assert len(strong) >= 9
         positive = {n: a for n, _, a in spectrum.sideband_lines if n > 0}
@@ -207,7 +207,7 @@ class TestTransitionSidebandSpectrum:
         spacing = shell.omega / (2 * math.pi)
         for n, freq, _ in spectrum.sideband_lines:
             assert freq == pytest.approx(spectrum.carrier_frequency + n * spacing,
-                                         rel=1e-12)
+                                         rel=1e-12, abs=0.0)
 
     def test_rejects_small_truncation(self):
         atom, shell = synthetic_atom_and_shell(8.0)
@@ -242,37 +242,37 @@ class TestLineStorage:
             assert spectrum.amplitude(n) == 0.0
         assert spectrum.amplitude(np.int64(7)) == spectrum.amplitude(7.0) == lines[n_max + 7][2]
 
-    def test_unsorted_lines_look_up_like_the_scan(self):
-        raw = [(2, 102.0, 0.6), (-1, 99.0, 0.0), (0, 100.0, 0.0), (2, 102.0, 0.8),
-               (-3, 97.0, 0.0)]
-        spectrum = TransitionSpectrum(carrier_frequency=100.0, omega=2 * math.pi,
-                                      delta_alpha=1.0, sideband_lines=raw)
-        for n in range(-5, 6):
-            assert spectrum.amplitude(n) == scan_amplitude(raw, n)
-        assert list(spectrum.sideband_lines) == raw and len(spectrum.sideband_lines) == 5
-        assert spectrum.sideband_lines[-2] == raw[-2]
-        assert spectrum.lines_above(0.5) == [line for line in raw if line[2] > 0.5]
-        dumped = [(e["n"], e["frequency_Hz"], e["relative_amplitude"])
-                  for e in spectrum.to_dict()["sideband_lines"]]
-        assert dumped == sorted(raw)
+    def test_amplitude_is_the_line_amplitude_for_every_n(self):
+        for spectrum in (transition_sideband_spectrum(*rb87_in_earth_shell(), 21),
+                         transition_sideband_spectrum(*synthetic_atom_and_shell(-5.0), 25)):
+            amplitude = {n: a for n, _, a in spectrum.sideband_lines}
+            assert amplitude == {n: abs(c) for n, c in spectrum.spectrum.coefficients.items()}
+            n_max = spectrum.spectrum.truncation_n
+            for n in range(-n_max - 3, n_max + 4):
+                assert spectrum.amplitude(n) == amplitude.get(n, 0.0)
 
-    @pytest.mark.parametrize("bad_line, message", [
-        ((1, 101.0, -0.0001), "non-negative"),
-        ((1, 101.5, 0.0), "frequencies"),
-    ])
-    def test_first_invalid_line_is_reported(self, bad_line, message):
-        raw = [(0, 100.0, 1.0), bad_line, (2, 105.0, -0.5)]
-        with pytest.raises(ValueError, match=message):
-            TransitionSpectrum(carrier_frequency=100.0, omega=2 * math.pi,
-                               delta_alpha=1.0, sideband_lines=raw)
+    def test_sparse_spectrum_looks_up_like_the_scan(self):
+        sparse = SidebandSpectrum(base_energy=0.0, omega=2 * math.pi, truncation_n=3,
+                                  coefficients={2: 0.6 + 0j, -1: 0j, 0: 0j, -3: 0.8j})
+        spectrum = TransitionSpectrum(carrier_frequency=100.0, delta_alpha=1.0,
+                                      spectrum=sparse)
+        lines = [(-3, 97.0, 0.8), (-1, 99.0, 0.0), (0, 100.0, 0.0), (2, 102.0, 0.6)]
+        assert spectrum.sideband_lines == lines
+        for n in range(-5, 6):
+            assert spectrum.amplitude(n) == scan_amplitude(lines, n)
+        assert spectrum.lines_above(0.5) == [lines[0], lines[3]]
+        dumped = [(e["n"], e["offset_Hz"], e["frequency_Hz"], e["relative_amplitude"])
+                  for e in spectrum.to_dict()["sideband_lines"]]
+        assert dumped == [(n, float(n), f, a) for n, f, a in lines]
 
     def test_spectra_compare_by_value(self):
         atom, shell = synthetic_atom_and_shell(5.0)
         a = transition_sideband_spectrum(atom, shell, 25)
         assert a == transition_sideband_spectrum(atom, shell, 25)
-        assert a == TransitionSpectrum(carrier_frequency=a.carrier_frequency, omega=a.omega,
-                                       delta_alpha=a.delta_alpha,
-                                       sideband_lines=list(a.sideband_lines))
+        copy = SidebandSpectrum(base_energy=0.0, omega=a.omega, truncation_n=25,
+                                coefficients=dict(a.spectrum.coefficients))
+        assert a == TransitionSpectrum(carrier_frequency=a.carrier_frequency,
+                                       delta_alpha=a.delta_alpha, spectrum=copy)
         assert a != transition_sideband_spectrum(atom, shell, 26)
 
     def test_depth_cap_rejected_before_allocation(self):
@@ -399,6 +399,18 @@ class TestSidebandRecord:
                     / (mp(HBAR) * mp(shell.omega) * mp(shell.radius)))
             got = modulation_indices(atom, shell).delta_alpha
             assert abs(mp(got) - want) <= mp(1e-12) * want
+
+    def test_earth_shell_offsets_are_distinct_and_exact(self):
+        # The carrier's float64 spacing is 0.0625 Hz, so the 1 mHz sidebands
+        # share one frequency_Hz; their offsets from the carrier do not.
+        record = sideband_record(*rb87_in_earth_shell())
+        lines, omega = record["sideband_lines"], record["omega_rad_per_s"]
+        assert len(lines) == 43
+        assert len({line["offset_Hz"] for line in lines}) == 43
+        assert len({line["frequency_Hz"] for line in lines}) == 1
+        for line in lines:
+            assert line["offset_Hz"] == line["n"] * omega / (2 * math.pi)
+            assert line["frequency_Hz"] == record["carrier_frequency_Hz"] + line["offset_Hz"]
 
     def test_automatic_truncation_is_the_default_one(self):
         atom, shell = rb87_in_earth_shell()

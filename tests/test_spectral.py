@@ -317,7 +317,7 @@ class TestFloquetDecompose:
         period = 1e-6
         potential = DriveWaveform.sampled([0.0, period], [u0, u0])
         decomp = floquet_decompose(potential, base_energy=1e-24, truncation_n=4)
-        assert decomp.quasi_energy == pytest.approx(1e-24 + u0, rel=1e-12)
+        assert decomp.quasi_energy == pytest.approx(1e-24 + u0, rel=1e-12, abs=0.0)
         assert abs(decomp.amplitude(0)) == pytest.approx(1.0, abs=1e-12)
         assert decomp.residual < 1e-12
 
