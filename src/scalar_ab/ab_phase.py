@@ -5,8 +5,8 @@ The phase picked up by a charge q in a spatially uniform potential V(t) is
 Every integrand has a closed-form integral: a drive is a sinusoid or the
 periodic piecewise-linear interpolant of its samples, and mass, potential
 and species-count histories are piecewise linear.  Each function returns
-that exact integral.  Their ``rel_tol`` keyword is accepted and ignored: an
-exact integral meets any tolerance.
+that exact integral.  ``accumulate_grav_phase`` still accepts a ``rel_tol``
+keyword and ignores it: an exact integral meets any tolerance.
 
 All functions are pure and re-entrant; inputs and outputs are immutable.
 """
@@ -73,13 +73,9 @@ class SpeciesCount:
 
     species: Species
     counts: tuple[tuple[float, float], ...]  # (t [s], N) pairs
-    charge_per_unit: float = 0.0             # C; 0 -> derived from species
 
     def __post_init__(self) -> None:
-        species = Species(self.species)
-        object.__setattr__(self, "species", species)
-        if self.charge_per_unit == 0.0:
-            object.__setattr__(self, "charge_per_unit", _SPECIES_CHARGE[species])
+        object.__setattr__(self, "species", Species(self.species))
         counts = tuple((float(t), float(n)) for t, n in self.counts)
         object.__setattr__(self, "counts", counts)
         ts = np.array([t for t, _ in counts])
@@ -88,6 +84,11 @@ class SpeciesCount:
         _require(_strictly_increasing(ts),
                  "SpeciesCount.counts timestamps must be strictly increasing")
         _require(bool(np.all(ns >= 0.0)), "SpeciesCount.counts must be non-negative")
+
+    @property
+    def charge_per_unit(self) -> float:
+        """Per-unit charge in C: +2e Cooper pair, +e electron, -e ion."""
+        return _SPECIES_CHARGE[self.species]
 
     @classmethod
     def constant(cls, species: Species, n: float,
@@ -149,8 +150,7 @@ def _drive_knots(voltage: DriveWaveform, grid: np.ndarray) -> np.ndarray:
 
 
 def accumulate_electric_phase(charge: float, voltage: DriveWaveform,
-                              t_grid: Sequence[float],
-                              rel_tol: float | None = None) -> PhaseHistory:
+                              t_grid: Sequence[float]) -> PhaseHistory:
     """Phase (charge/hbar) * integral of V(t) from the start of the grid.
 
     For a zero-mean sinusoidal drive V0*cos(omega*t) starting at t=0 the
@@ -187,8 +187,7 @@ def accumulate_grav_phase(mass_history: Sequence[tuple[float, float]],
 
 
 def net_bulk_phase(species: Sequence[SpeciesCount], voltage: DriveWaveform,
-                   t_grid: Sequence[float],
-                   rel_tol: float | None = None) -> PhaseHistory:
+                   t_grid: Sequence[float]) -> PhaseHistory:
     """Signed sum of per-species phases (q_s/hbar) * integral N_s(t) V(t) dt.
 
     Per-unit charges follow the bulk sign convention (+2e Cooper pair,

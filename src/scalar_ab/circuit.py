@@ -89,7 +89,8 @@ class DriveEnvelope:
     ``ramp_duration`` seconds ending at t_off (``ramp_duration=None`` means
     5 drive periods, resolved at integration time; 0.0 means an
     instantaneous switch).  ``t_on`` turns the drive on the same way.  A
-    negative ramp and a ``t_off`` not later than ``t_on`` are rejected.
+    non-finite time, a negative ramp and a ``t_off`` not later than ``t_on``
+    are rejected.
     """
 
     t_on: float = 0.0
@@ -97,8 +98,11 @@ class DriveEnvelope:
     ramp_duration: float | None = None
 
     def __post_init__(self) -> None:
-        _require(self.ramp_duration is None or self.ramp_duration >= 0.0,
-                 "DriveEnvelope.ramp_duration must be None or non-negative")
+        _require(math.isfinite(self.t_on), "DriveEnvelope.t_on must be finite")
+        _require(self.t_off is None or math.isfinite(self.t_off),
+                 "DriveEnvelope.t_off must be None or finite")
+        _require(self.ramp_duration is None or 0.0 <= self.ramp_duration < math.inf,
+                 "DriveEnvelope.ramp_duration must be None or non-negative and finite")
         _require(self.t_off is None or self.t_off > self.t_on,
                  "DriveEnvelope.t_off must be later than t_on (the drive would never "
                  "turn on)")
@@ -371,17 +375,6 @@ def integrate_trajectory(eom: EomParams, phi0: float, phidot0: float,
     ramp = envelope.resolve_ramp(drive_period) if envelope is not None else 0.0
     t_grid = np.linspace(t0, t1, n_samples)
 
-    meta = {
-        "eom": eom.to_dict(),
-        "phi0": phi0,
-        "phidot0": phidot0,
-        "method": step_control.method,
-        "rel_tol": step_control.rel_tol,
-        "abs_tol": step_control.abs_tol,
-        "envelope": None if envelope is None else {
-            "t_on": envelope.t_on, "t_off": envelope.t_off, "ramp": ramp},
-    }
-
     if step_control.method == "rk4":
         rhs = _rhs_factory(eom, envelope, ramp)[2]
         try:
@@ -391,7 +384,7 @@ def integrate_trajectory(eom: EomParams, phi0: float, phidot0: float,
             raise IntegrationError(f"rk4 aborted: {exc}") from exc
         if not np.all(np.isfinite(y)):
             raise IntegrationError("rk4 produced non-finite state (reduce fixed_step)")
-        return _as_trajectory(t_grid, y, meta)
+        return _as_trajectory(t_grid, y)
 
     # The compiled codes take a scalar atol, so integrate (phi, phi_dot/w):
     # its error norm equals that of (phi, phi_dot) under the per-component
@@ -432,14 +425,14 @@ def integrate_trajectory(eom: EomParams, phi0: float, phidot0: float,
     y[1, 1:] *= rate_scale
     if not np.all(np.isfinite(y)):
         raise IntegrationError("integration produced non-finite state (NaN guard)")
-    return _as_trajectory(t_grid, y, meta)
+    return _as_trajectory(t_grid, y)
 
 
-def _as_trajectory(t_grid: np.ndarray, y: np.ndarray, meta: dict) -> Trajectory:
+def _as_trajectory(t_grid: np.ndarray, y: np.ndarray) -> Trajectory:
     if t_grid[0] > t_grid[-1]:  # backward run: store in increasing time order
         t_grid = t_grid[::-1]
         y = y[:, ::-1]
-    return Trajectory(times=t_grid, delta_phi=y[0], delta_phi_dot=y[1], meta=meta)
+    return Trajectory(times=t_grid, delta_phi=y[0], delta_phi_dot=y[1])
 
 
 @dataclass(frozen=True)
@@ -548,9 +541,13 @@ def flux_quantum_count(delta_phi: "float | np.ndarray") -> "int | np.ndarray":
     """Trapped flux quanta: nearest integer to delta_phi / 2*pi.
 
     Zero for |delta_phi| < pi; exact half-integer multiples of 2*pi resolve
-    by round-to-even.
+    by round-to-even.  A non-finite delta_phi, or one whose count does not
+    fit an int64, is rejected.
     """
-    counts = np.rint(np.asarray(delta_phi, dtype=float) / (2.0 * math.pi)).astype(int)
+    counts = np.rint(np.asarray(delta_phi, dtype=float) / (2.0 * math.pi))
+    _require(bool((np.abs(counts) < 2.0 ** 63).all()),
+             "flux_quantum_count needs a finite delta_phi whose count fits an int64")
+    counts = counts.astype(np.int64)
     return counts if np.ndim(delta_phi) else int(counts)
 
 

@@ -170,11 +170,12 @@ _FIG3_ELEMENTS = {"c_sigma_fF": 55.76481251856608, "c_prime_fF": 55.764812518566
 
 def _circuit_params(p: Mapping[str, Any]) -> CircuitParams:
     """CircuitParams from the element keys the experiment has, each named
-    <field>_<unit>; CircuitParams derives whichever of inductance_nH and
-    e_inductive_GHz is missing."""
+    <field>_<unit>; an experiment with e_inductive_GHz gives the inductance
+    through it."""
     keys = {key.rsplit("_", 1)[0]: key for key in (*_CIRCUIT_ELEMENT_KEYS, "e_inductive_GHz")
             if key in p}
-    return _make(CircuitParams, keys, **{
+    make = CircuitParams.from_inductive_energy if "e_inductive" in keys else CircuitParams
+    return _make(make, keys, **{
         name: _ghz_to_joule(p[key], key) if key.endswith("_GHz")
         else p[key] * (1e-9 if key.endswith("_nH") else 1e-15)
         for name, key in keys.items()})

@@ -14,7 +14,7 @@ concurrent parameter sweeps without synchronization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Any, Iterable, Mapping, Self, Sequence
 
 import numpy as np
@@ -65,14 +65,12 @@ def _write_csv(path: str, header: Sequence[str], *columns: np.ndarray) -> None:
 
 
 def _plain(value: Any) -> Any:
-    """``value`` as JSON holds it: arrays and tuples become lists, mappings
-    dicts, all the way down."""
+    """``value`` as JSON holds it: arrays and tuples become lists, all the
+    way down."""
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, tuple):
         return [_plain(v) for v in value]
-    if isinstance(value, Mapping):
-        return {k: _plain(v) for k, v in value.items()}
     return value
 
 
@@ -137,49 +135,21 @@ G_NEWTON = CODATA2018.g_newton
 class CircuitParams(_FieldDict):
     """Lumped-element values of the shielded Josephson circuit.
 
-    ``inductance`` and ``e_inductive`` describe the same element, as do
-    ``e_josephson`` and ``l_josephson`` (related through (hbar/2e)^2); pass
-    either member of a pair and the other is derived, or pass both and they
-    are checked for consistency.  ``e_charging`` ((2e)^2 / 2*C_sigma) is
-    always derived, never stored.
+    ``e_inductive`` ((hbar/2e)^2 / inductance) and ``e_charging``
+    ((2e)^2 / 2*C_sigma) are derived, never stored;
+    :meth:`from_inductive_energy` builds the circuit from E_L instead of L.
     """
 
-    c_sphere: float          # F, self-capacitance of the shielding sphere
-    c_sigma: float           # F, total capacitance
-    c_gate: float            # F, effective gate capacitance
-    c_prime: float           # F, effective island capacitance
-    inductance: float = 0.0  # H, island inductance (0 -> derive from e_inductive)
-    e_josephson: float = 0.0  # J, junction coupling energy (0 -> derive from l_josephson)
-    l_josephson: float = 0.0  # H, junction inductance (0 -> derive from e_josephson)
+    c_sphere: float      # F, self-capacitance of the shielding sphere
+    c_sigma: float       # F, total capacitance
+    c_gate: float        # F, effective gate capacitance
+    c_prime: float       # F, effective island capacitance
+    inductance: float    # H, island inductance
+    e_josephson: float   # J, junction coupling energy
     c_josephson: float = 0.0  # F, junction capacitance
-    e_inductive: float = 0.0  # J, inductive energy scale (0 -> derive from inductance)
 
     def __post_init__(self) -> None:
-        phi_sq = (HBAR / (2.0 * E_CHARGE)) ** 2  # (hbar/2e)^2, J*H
-
-        def _pair(energy: float, reactance: float, e_name: str, x_name: str) -> tuple[float, float]:
-            # only 0.0 means "not given": a negative value reaches the checks below
-            if energy == 0.0 and reactance == 0.0:
-                return 0.0, 0.0
-            if reactance == 0.0:
-                return energy, phi_sq / energy
-            if energy == 0.0:
-                return phi_sq / reactance, reactance
-            _require(abs(energy * reactance - phi_sq) <= 1e-9 * phi_sq,
-                     f"CircuitParams.{e_name} inconsistent with {x_name} "
-                     f"(must satisfy {e_name} = (hbar/2e)^2 / {x_name})")
-            return energy, reactance
-
-        e_l, ind = _pair(self.e_inductive, self.inductance, "e_inductive", "inductance")
-        e_j, l_j = _pair(self.e_josephson, self.l_josephson, "e_josephson", "l_josephson")
-        object.__setattr__(self, "e_inductive", e_l)
-        object.__setattr__(self, "inductance", ind)
-        object.__setattr__(self, "e_josephson", e_j)
-        object.__setattr__(self, "l_josephson", l_j)
-
-        _require(self.inductance > 0.0,
-                 "CircuitParams.inductance (or e_inductive) must be strictly positive")
-        for name in ("c_sphere", "c_sigma", "c_gate", "c_prime"):
+        for name in ("c_sphere", "c_sigma", "c_gate", "c_prime", "inductance"):
             _require(getattr(self, name) > 0.0,
                      f"CircuitParams.{name} must be strictly positive")
         _require(self.e_josephson >= 0.0, "CircuitParams.e_josephson must be non-negative")
@@ -187,6 +157,17 @@ class CircuitParams(_FieldDict):
         _require(self.c_sigma >= self.c_josephson,
                  "CircuitParams.c_sigma must be >= c_josephson "
                  "(total capacitance includes the junction)")
+
+    @classmethod
+    def from_inductive_energy(cls, e_inductive: float, **elements: float) -> "CircuitParams":
+        """The circuit whose inductance is (hbar/2e)^2 / ``e_inductive`` (J)."""
+        _require(e_inductive > 0.0, "CircuitParams.e_inductive must be strictly positive")
+        return cls(inductance=(HBAR / (2.0 * E_CHARGE)) ** 2 / e_inductive, **elements)
+
+    @property
+    def e_inductive(self) -> float:
+        """Inductive energy (hbar/2e)^2 / inductance in J, recomputed on access."""
+        return (HBAR / (2.0 * E_CHARGE)) ** 2 / self.inductance
 
     @property
     def e_charging(self) -> float:
@@ -204,8 +185,10 @@ class DriveWaveform(_FieldDict):
 
     ``sinusoid`` waveforms are amplitude*cos(omega*t + phase0).  ``sampled``
     waveforms are the piecewise-linear interpolant of the supplied samples,
-    which must span exactly one period with equal first and last values;
-    evaluation extends them periodically.
+    which must span exactly one period 2*pi/omega with equal first and last
+    values; evaluation extends them periodically.  ``period`` (s) is derived
+    at construction, not stored: 2*pi/omega for a sinusoid, the sample span
+    for a sampled waveform.
     """
 
     kind: str
@@ -213,59 +196,54 @@ class DriveWaveform(_FieldDict):
     omega: float = 0.0        # rad/s
     phase0: float = 0.0       # rad
     samples: tuple[tuple[float, float], ...] | None = None
-    period: float = 0.0       # s
 
     def __post_init__(self) -> None:
         _require(self.kind in (_SINUSOID, _SAMPLED),
                  f"DriveWaveform.kind must be '{_SINUSOID}' or '{_SAMPLED}'")
-        _require(self.omega > 0.0, "DriveWaveform.omega must be strictly positive")
+        _require(0.0 < self.omega < math.inf,
+                 "DriveWaveform.omega must be finite and strictly positive")
+        _require(math.isfinite(self.amplitude) and math.isfinite(self.phase0),
+                 "DriveWaveform.amplitude and phase0 must be finite")
         if self.kind == _SINUSOID:
-            expected = 2.0 * math.pi / self.omega
-            if self.period == 0.0:
-                object.__setattr__(self, "period", expected)
-            _require(abs(self.period - expected) <= 1e-9 * expected,
-                     "DriveWaveform.period must equal 2*pi/omega for a sinusoid")
             _require(self.samples is None, "DriveWaveform: sinusoid takes no samples")
-        else:
-            _require(self.samples is not None and len(self.samples) >= 2,
-                     "DriveWaveform: sampled waveform needs >= 2 samples")
-            samples = tuple((float(t), float(v)) for t, v in self.samples)
-            object.__setattr__(self, "samples", samples)
-            # Read-only arrays built once; ``samples`` stays the stored field.
-            ts = _readonly([t for t, _ in samples])
-            vs = _readonly([v for _, v in samples])
-            object.__setattr__(self, "_times", ts)
-            object.__setattr__(self, "_values", vs)
-            _require(_strictly_increasing(ts),
-                     "DriveWaveform.samples timestamps must be strictly increasing")
-            span = float(ts[-1] - ts[0])
-            _require(abs(self.period - span) <= 1e-9 * span,
-                     "DriveWaveform.samples must span exactly one period")
-            _require(vs[0] == vs[-1],
-                     "DriveWaveform.samples first and last values must be equal "
-                     "(periodicity)")
-            _require(abs(self.omega * self.period - 2.0 * math.pi)
-                     <= 1e-9 * 2.0 * math.pi,
-                     "DriveWaveform.period must equal 2*pi/omega")
+            object.__setattr__(self, "period", 2.0 * math.pi / self.omega)
+            return
+        _require(self.samples is not None and len(self.samples) >= 2,
+                 "DriveWaveform: sampled waveform needs >= 2 samples")
+        samples = tuple((float(t), float(v)) for t, v in self.samples)
+        object.__setattr__(self, "samples", samples)
+        # Read-only arrays built once; ``samples`` stays the stored field.
+        ts = _readonly([t for t, _ in samples])
+        vs = _readonly([v for _, v in samples])
+        object.__setattr__(self, "_times", ts)
+        object.__setattr__(self, "_values", vs)
+        _require(bool(np.isfinite(ts).all() and np.isfinite(vs).all()),
+                 "DriveWaveform.samples must be finite")
+        _require(_strictly_increasing(ts),
+                 "DriveWaveform.samples timestamps must be strictly increasing")
+        _require(vs[0] == vs[-1],
+                 "DriveWaveform.samples first and last values must be equal "
+                 "(periodicity)")
+        span = float(ts[-1] - ts[0])
+        object.__setattr__(self, "period", span)
+        _require(abs(self.omega * span - 2.0 * math.pi) <= 1e-9 * 2.0 * math.pi,
+                 "DriveWaveform.samples must span one period 2*pi/omega")
 
     @classmethod
     def sinusoid(cls, amplitude: float, omega: float, phase0: float = 0.0) -> "DriveWaveform":
         return cls(kind=_SINUSOID, amplitude=amplitude, omega=omega, phase0=phase0)
 
     @classmethod
-    def sampled(cls, times: Sequence[float], values: Sequence[float],
-                period: float | None = None) -> "DriveWaveform":
+    def sampled(cls, times: Sequence[float], values: Sequence[float]) -> "DriveWaveform":
+        """The waveform of one period of samples; omega is 2*pi over their span."""
         _require(len(times) == len(values),
                  f"DriveWaveform.sampled needs times and values of equal length "
                  f"(got {len(times)} times and {len(values)} values)")
         _require(len(times) >= 2,
                  f"DriveWaveform.sampled needs >= 2 samples (got {len(times)})")
-        if period is None:
-            period = float(times[-1]) - float(times[0])
-        _require(period > 0.0, f"DriveWaveform.sampled period must be positive "
-                               f"(got {period})")
-        return cls(kind=_SAMPLED, samples=tuple(zip(times, values)), period=float(period),
-                   omega=2.0 * math.pi / float(period))
+        span = float(times[-1]) - float(times[0])
+        _require(span > 0.0, f"DriveWaveform.sampled span must be positive (got {span})")
+        return cls(kind=_SAMPLED, samples=tuple(zip(times, values)), omega=2.0 * math.pi / span)
 
     @property
     def is_sinusoid(self) -> bool:
@@ -326,7 +304,6 @@ class Trajectory(_FieldDict):
     times: np.ndarray           # s
     delta_phi: np.ndarray       # rad
     delta_phi_dot: np.ndarray   # rad/s
-    meta: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "times", _readonly(self.times))
@@ -486,6 +463,8 @@ class MassShell(_FieldDict):
     omega: float   # rad/s, modulation frequency
 
     def __post_init__(self) -> None:
+        for name in ("m0", "m1", "radius", "omega"):
+            _require(math.isfinite(getattr(self, name)), f"MassShell.{name} must be finite")
         _require(self.radius > 0.0, "MassShell.radius must be strictly positive")
         _require(self.m0 >= 0.0, "MassShell.m0 must be non-negative")
         _require(abs(self.m1) <= self.m0,

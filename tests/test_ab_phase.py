@@ -262,18 +262,20 @@ class TestQuadratureProperties:
 
     @pytest.mark.parametrize("rel_tol", [0.0, -1.0])
     def test_rel_tol_is_ignored(self, rel_tol):
-        # rel_tol is accepted for compatibility; every value gives the same
-        # exact phase, bit for bit.
+        # accumulate_grav_phase accepts rel_tol for compatibility; every value
+        # gives the same exact phase, bit for bit.  The electric and bulk
+        # phases take no rel_tol.
         drive = DriveWaveform.sinusoid(1e-6, OMEGA_DRIVE)
         grid = np.linspace(0.0, 1e-8, 11)
         history = [(0.0, 1.0), (1e-8, 2.0)]
         species = [SpeciesCount(Species.ELECTRON, ((0.0, 1.0), (1e-8, 3.0)))]
-        calls = (lambda tol: accumulate_electric_phase(E, drive, grid, rel_tol=tol),
-                 lambda tol: accumulate_grav_phase(history, history, grid, rel_tol=tol),
-                 lambda tol: net_bulk_phase(species, drive, grid, rel_tol=tol))
-        for call in calls:
-            phases = {call(tol).phase.tobytes() for tol in (None, 1e-9, rel_tol)}
-            assert len(phases) == 1
+        phases = {accumulate_grav_phase(history, history, grid, rel_tol=tol).phase.tobytes()
+                  for tol in (None, 1e-9, rel_tol)}
+        assert len(phases) == 1
+        with pytest.raises(TypeError, match="rel_tol"):
+            accumulate_electric_phase(E, drive, grid, rel_tol=rel_tol)
+        with pytest.raises(TypeError, match="rel_tol"):
+            net_bulk_phase(species, drive, grid, rel_tol=rel_tol)
 
     def test_rough_sampled_drive_is_exact(self):
         # 4,097 white-noise samples over 1 us phased over three periods: the
@@ -298,7 +300,7 @@ class TestQuadratureProperties:
         drive = DriveWaveform.sinusoid(1e-6, OMEGA_DRIVE)
         alpha = E * 1e-6 / (HBAR * OMEGA_DRIVE)
         grid = np.linspace(0.0, 2 / 150e6, 41)  # deliberately coarse
-        history = accumulate_electric_phase(E, drive, grid, rel_tol=1e-9)
+        history = accumulate_electric_phase(E, drive, grid)
         expected = alpha * np.sin(OMEGA_DRIVE * grid)
         assert np.max(np.abs(history.phase - expected)) < 2e-9 * alpha
 

@@ -152,9 +152,9 @@ def test_criterion_06_fig3_post_drive_phase(tmp_path):
 
 
 def test_criterion_07_fig4_landscape():
-    params = CircuitParams(c_sphere=5.6e-12, c_sigma=5.576481251856608e-14,
-                           c_gate=1e-15, c_prime=5.576481251856608e-14,
-                           e_inductive=1e9 * H, e_josephson=25e9 * H)
+    params = CircuitParams.from_inductive_energy(
+        1e9 * H, c_sphere=5.6e-12, c_sigma=5.576481251856608e-14, c_gate=1e-15,
+        c_prime=5.576481251856608e-14, e_josephson=25e9 * H)
     landscape = potential_landscape(params, (-4 * math.pi, 4 * math.pi), 4001)
     phis = sorted(p for p, _ in landscape.minima)
     symmetric = all(abs(p + q) < 1e-9 for p, q in zip(phis, reversed(phis)))

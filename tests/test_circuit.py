@@ -39,6 +39,12 @@ def fig3_params(**overrides):
     return CircuitParams(**values)
 
 
+def landscape_params(e_inductive, **overrides):
+    """fig3's elements with the inductance given by its energy E_L."""
+    values = {k: v for k, v in FIG3.items() if k != "inductance"} | overrides
+    return CircuitParams.from_inductive_energy(e_inductive, **values)
+
+
 class TestBuildEom:
     def test_pure_lc_limit(self):
         eom = build_eom(fig3_params(e_josephson=0.0), None)
@@ -89,6 +95,16 @@ class TestDriveEnvelope:
 
     def test_t_on_alone_is_valid(self):
         assert DriveEnvelope(t_on=5e-9).t_off is None
+
+    @pytest.mark.parametrize("kwargs, message", [
+        # a NaN t_on compared false everywhere, so the drive was always on
+        ({"t_on": math.nan}, "t_on must be finite"),
+        ({"t_on": -math.inf, "t_off": 1e-9}, "t_on must be finite"),
+        ({"t_off": math.inf}, "t_off must be None or finite"),
+        ({"t_off": 1e-9, "ramp_duration": math.inf}, "ramp_duration must be None or non-negative")])
+    def test_rejects_non_finite_times(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            DriveEnvelope(**kwargs)
 
 
 class TestIntegrateTrajectory:
@@ -476,16 +492,14 @@ class TestPotentialLandscape:
         assert landscape.minima[0][0] == pytest.approx(0.0, abs=1e-9)
 
     def test_multi_well_regime(self):
-        params = fig3_params(inductance=0.0, e_inductive=1e9 * H,
-                             e_josephson=25e9 * H)
+        params = landscape_params(1e9 * H, e_josephson=25e9 * H)
         landscape = potential_landscape(params, (-4 * math.pi, 4 * math.pi), 4001)
         assert len(landscape.minima) >= 3
         assert len(landscape.minima) == 5
         assert all(b > 0.0 for b in landscape.barrier_heights)
 
     def test_minima_symmetric_under_reflection(self):
-        params = fig3_params(inductance=0.0, e_inductive=1e9 * H,
-                             e_josephson=25e9 * H)
+        params = landscape_params(1e9 * H, e_josephson=25e9 * H)
         landscape = potential_landscape(params, (-4 * math.pi, 4 * math.pi), 4001)
         phis = sorted(p for p, _ in landscape.minima)
         for p, mirrored in zip(phis, reversed(phis)):
@@ -502,8 +516,7 @@ class TestPotentialLandscape:
     def test_minima_count_monotone_in_ej_over_el(self):
         counts = []
         for ratio in (0.5, 2.0, 8.0, 25.0, 60.0):
-            params = fig3_params(inductance=0.0, e_inductive=1e9 * H,
-                                 e_josephson=ratio * 1e9 * H)
+            params = landscape_params(1e9 * H, e_josephson=ratio * 1e9 * H)
             landscape = potential_landscape(params, (-4 * math.pi, 4 * math.pi),
                                             4001)
             counts.append(len(landscape.minima))
@@ -513,8 +526,7 @@ class TestPotentialLandscape:
     def test_extrema_match_brentq(self, ratio):
         # Bisection against scipy's Brent solver at the tolerances
         # the landscape used with it (xtol 1e-14, rtol 8.9e-16).
-        params = fig3_params(inductance=0.0, e_inductive=1e9 * H,
-                             e_josephson=ratio * 1e9 * H)
+        params = landscape_params(1e9 * H, e_josephson=ratio * 1e9 * H)
         landscape = potential_landscape(params, (-4 * math.pi, 4 * math.pi), 4001)
         u, du, _ = circuit._potential_factory(params)
         step = landscape.phi_grid[1] - landscape.phi_grid[0]
@@ -560,6 +572,18 @@ class TestFluxQuantumCount:
         out = flux_quantum_count(np.array([0.0, 2 * math.pi, -6.4, 13.0]))
         assert list(out) == [0, 1, -1, 2]
 
+    def test_largest_counts_are_exact(self):
+        assert flux_quantum_count(2 * math.pi * 2.0 ** 62) == 2 ** 62
+        assert list(flux_quantum_count(np.array([-2 * math.pi * 2.0 ** 62]))) == [-2 ** 62]
+
+    @pytest.mark.parametrize("delta_phi", [math.nan, math.inf, -math.inf, 1e300, -1e300])
+    def test_rejects_non_finite_or_beyond_int64(self, delta_phi):
+        # the int cast used to return -2**63 with only a RuntimeWarning
+        with pytest.raises(ValueError, match="fits an int64"):
+            flux_quantum_count(delta_phi)
+        with pytest.raises(ValueError, match="fits an int64"):
+            flux_quantum_count(np.array([0.0, delta_phi]))
+
 
 class TestHarmonicLevelSpacing:
     def test_lc_limit_equals_hbar_omega_c(self):
@@ -570,8 +594,7 @@ class TestHarmonicLevelSpacing:
         assert spacing == pytest.approx(HBAR * eom.omega_c, rel=1e-12, abs=0.0)
 
     def test_central_well_matches_finite_difference(self):
-        params = fig3_params(inductance=0.0, e_inductive=1e9 * H,
-                             e_josephson=25e9 * H)
+        params = landscape_params(1e9 * H, e_josephson=25e9 * H)
         landscape = potential_landscape(params, (-4 * math.pi, 4 * math.pi), 4001)
         central = len(landscape.minima) // 2
         spacing = harmonic_level_spacing(landscape, params, central)
@@ -593,8 +616,7 @@ class TestHarmonicLevelSpacing:
     def test_rejects_non_minimum(self):
         # A landscape whose claimed minimum sits at a potential maximum of a
         # different parameter set exercises the curvature guard.
-        params = fig3_params(inductance=0.0, e_inductive=0.1e9 * H,
-                             e_josephson=25e9 * H)
+        params = landscape_params(0.1e9 * H, e_josephson=25e9 * H)
         fake = PotentialLandscape(phi_grid=np.array([math.pi - 0.1, math.pi + 0.1]),
                                   u_values=np.zeros(2),
                                   minima=((math.pi, 0.0),), barrier_heights=())

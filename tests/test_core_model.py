@@ -57,14 +57,25 @@ class TestCircuitParams:
     def test_derives_energy_from_inductance_and_back(self):
         p = make_circuit_params()
         phi_sq = (CODATA2018.hbar / (2 * E)) ** 2
-        assert p.e_inductive == pytest.approx(phi_sq / p.inductance, rel=1e-15, abs=0.0)
-        assert p.l_josephson == pytest.approx(phi_sq / p.e_josephson, rel=1e-15, abs=0.0)
-        via_energy = make_circuit_params(inductance=0.0, e_inductive=p.e_inductive)
-        assert via_energy.inductance == pytest.approx(p.inductance, rel=1e-12, abs=0.0)
+        assert p.e_inductive == phi_sq / p.inductance
+        elements = {k: v for k, v in p.to_dict().items() if k != "inductance"}
+        via_energy = CircuitParams.from_inductive_energy(p.e_inductive, **elements)
+        assert via_energy.inductance == pytest.approx(p.inductance, rel=1e-15, abs=0.0)
+        assert CircuitParams.from_inductive_energy(1e9 * H, **elements).inductance == (
+            phi_sq / (1e9 * H))
 
-    def test_rejects_inconsistent_pair(self):
-        with pytest.raises(ValueError, match="e_inductive inconsistent"):
-            make_circuit_params(e_inductive=2e9 * H)  # does not match inductance
+    def test_stores_only_its_inputs(self):
+        # e_inductive is derived; the junction inductance is not kept at all
+        assert list(make_circuit_params().to_dict()) == [
+            "c_sphere", "c_sigma", "c_gate", "c_prime", "inductance", "e_josephson",
+            "c_josephson"]
+
+    @pytest.mark.parametrize("missing", ["inductance", "e_josephson"])
+    def test_inductance_and_e_josephson_are_required(self, missing):
+        elements = make_circuit_params().to_dict()
+        del elements[missing]
+        with pytest.raises(TypeError, match=missing):
+            CircuitParams(**elements)
 
     def test_rejects_nonpositive_capacitance(self):
         with pytest.raises(ValueError, match="c_sigma"):
@@ -77,17 +88,20 @@ class TestCircuitParams:
     @pytest.mark.parametrize("overrides, message", [
         # a negative energy used to pass as "not given", i.e. E_J = 0
         ({"e_josephson": -25e9 * H}, "e_josephson must be non-negative"),
-        ({"e_josephson": 0.0, "l_josephson": -1e-9}, "e_josephson must be non-negative"),
-        ({"inductance": 0.0, "e_inductive": -1e9 * H},
-         r"inductance \(or e_inductive\) must be strictly positive")])
+        ({"e_josephson": math.nan}, "e_josephson must be non-negative"),
+        # 0.0 is an inductance, not "derive it from e_inductive"
+        ({"inductance": 0.0}, "inductance must be strictly positive"),
+        ({"inductance": -1e-9}, "inductance must be strictly positive")])
     def test_rejects_negative_energy_or_reactance(self, overrides, message):
         with pytest.raises(ValueError, match=message):
             make_circuit_params(**overrides)
 
-    def test_zero_means_not_given(self):
-        p = make_circuit_params(e_josephson=0.0, l_josephson=0.0)
-        assert (p.e_josephson, p.l_josephson) == (0.0, 0.0)
-        assert make_circuit_params(e_josephson=-0.0).l_josephson == 0.0
+    @pytest.mark.parametrize("e_inductive", [0.0, -1e9 * H, math.nan])
+    def test_from_inductive_energy_rejects_a_non_positive_energy(self, e_inductive):
+        elements = {k: v for k, v in make_circuit_params().to_dict().items()
+                    if k != "inductance"}
+        with pytest.raises(ValueError, match="e_inductive must be strictly positive"):
+            CircuitParams.from_inductive_energy(e_inductive, **elements)
 
     def test_round_trip(self):
         p = make_circuit_params()
@@ -98,8 +112,34 @@ class TestCircuitParams:
 class TestDriveWaveform:
     def test_sinusoid_period(self):
         w = DriveWaveform.sinusoid(1e-6, 2 * math.pi * 150e6)
-        assert w.period == pytest.approx(1 / 150e6, rel=1e-12, abs=0.0)
+        assert w.period == 2 * math.pi / w.omega
         assert w.value(0.0) == pytest.approx(1e-6)
+
+    def test_sampled_period_is_the_sample_span(self):
+        w = DriveWaveform.sampled([0.5, 0.8, 2.5], [1.0, 3.0, 1.0])
+        assert (w.period, w.omega) == (2.0, math.pi)
+
+    @pytest.mark.parametrize("value", [
+        DriveWaveform.sinusoid(1e-6, 2 * math.pi * 150e6),
+        DriveWaveform.sampled([0.0, 0.3, 1.0], [0.2, 1.0, 0.2])])
+    def test_period_is_derived_not_stored(self, value):
+        assert "period" not in value.to_dict()
+        with pytest.raises(TypeError, match="period"):
+            DriveWaveform(**value.to_dict(), period=value.period)
+
+    @pytest.mark.parametrize("make, message", [
+        # an infinite omega gave period 0.0, and value() took % 0.0
+        (lambda: DriveWaveform.sinusoid(1.0, math.inf), "omega must be finite"),
+        (lambda: DriveWaveform.sinusoid(1.0, math.nan), "omega must be finite"),
+        (lambda: DriveWaveform.sinusoid(math.nan, 1.0), "amplitude and phase0 must be finite"),
+        (lambda: DriveWaveform.sinusoid(math.inf, 1.0), "amplitude and phase0 must be finite"),
+        (lambda: DriveWaveform.sinusoid(1.0, 1.0, math.nan),
+         "amplitude and phase0 must be finite"),
+        (lambda: DriveWaveform.sampled([0.0, 0.5, 1.0], [0.0, math.nan, 0.0]),
+         "samples must be finite")])
+    def test_rejects_non_finite_inputs(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
 
     def test_sampled_periodic_extension(self):
         t = np.linspace(0.0, 1.0, 9)
@@ -139,16 +179,16 @@ class TestDriveWaveform:
         with pytest.raises(ValueError, match=counts):
             DriveWaveform.sampled(times, values)
 
-    @pytest.mark.parametrize("times, values, period, message", [
-        ([], [], None, r"needs >= 2 samples \(got 0\)"),
-        ([0.0], [1.0], None, r"needs >= 2 samples \(got 1\)"),
-        ([0.0, 1.0], [1.0, 1.0], 0.0, "period must be positive"),
-        ([0.0, 1.0], [1.0, 1.0], -1.0, "period must be positive")])
-    def test_sampled_rejects_too_few_samples_or_bad_period(self, times, values, period,
-                                                           message):
-        # these used to end in an IndexError or a division by zero
+    @pytest.mark.parametrize("times, values, message", [
+        ([], [], r"needs >= 2 samples \(got 0\)"),
+        ([0.0], [1.0], r"needs >= 2 samples \(got 1\)"),
+        ([1.0, 1.0], [1.0, 1.0], r"span must be positive \(got 0.0\)"),
+        ([1.0, 0.0], [1.0, 1.0], r"span must be positive \(got -1.0\)")])
+    def test_sampled_rejects_too_few_samples_or_bad_period(self, times, values, message):
+        # these used to end in an IndexError or a division by zero; the
+        # period is the sample span
         with pytest.raises(ValueError, match=message):
-            DriveWaveform.sampled(times, values, period)
+            DriveWaveform.sampled(times, values)
 
     def test_round_trip(self):
         w = DriveWaveform.sampled([0.0, 0.3, 1.0], [0.2, 1.0, 0.2])
@@ -174,7 +214,7 @@ class TestTrajectory:
 
     def test_round_trip(self):
         traj = Trajectory(times=[0.0, 1e-9, 2e-9], delta_phi=[0.0, 0.1, -0.3],
-                          delta_phi_dot=[0.0, 1e9, -2e9], meta={"run": 1})
+                          delta_phi_dot=[0.0, 1e9, -2e9])
         again = Trajectory.from_dict(json.loads(json.dumps(traj.to_dict())))
         assert np.array_equal(again.times, traj.times)
         assert np.array_equal(again.delta_phi, traj.delta_phi)
@@ -260,6 +300,13 @@ class TestMassShell:
         with pytest.raises(ValueError, match="radius"):
             MassShell(m0=1.0, m1=0.0, radius=0.0, omega=1.0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("omega", math.nan), ("omega", math.inf), ("m0", math.inf), ("m1", math.nan),
+        ("radius", math.inf)])
+    def test_rejects_non_finite_fields(self, name, value):
+        with pytest.raises(ValueError, match=f"MassShell.{name} must be finite"):
+            MassShell(**dict(m0=1.0, m1=0.5, radius=1.0, omega=1.0) | {name: value})
+
     def test_round_trip(self):
         s = MassShell(m0=5.972e24, m1=1e10, radius=6.371e6, omega=2 * math.pi * 1e-3)
         assert MassShell.from_dict(json.loads(json.dumps(s.to_dict()))) == s
@@ -319,8 +366,7 @@ def test_sinusoid_round_trip_is_identity(amplitude, omega, phase0):
     make_circuit_params(),
     DriveWaveform.sinusoid(-1e-6, 2 * math.pi * 150e6, 0.3),
     DriveWaveform.sampled(np.array([0.0, 0.3, 1.0]), [0.2, 1.0, 0.2]),
-    Trajectory(times=[0.0, 1e-9], delta_phi=[0.0, 0.1], delta_phi_dot=[0.0, 1e8],
-               meta={"eom": {"omega_c": 1e10}, "envelope": None, "span": (0.0, 1e-9)}),
+    Trajectory(times=[0.0, 1e-9], delta_phi=[0.0, 0.1], delta_phi_dot=[0.0, 1e8]),
     MassShell(m0=5.972e24, m1=-1e10, radius=6.371e6, omega=2 * math.pi * 1e-3),
     TwoLevelAtom.from_transition(1.44316060e-25, 1.589 * E),
     EomParams(omega_c=5e10, nonlinear_coeff=2e21, drive_coeff=1e19,
