@@ -13,16 +13,15 @@ system conserves the specific energy
 
     E = phi_dot^2/2 + omega_c^2 * phi^2/2 + nonlinear_coeff * (1 - cos(phi)).
 
-Integration calls the compiled Hairer DOP853/DOPRI5 codes (DOP853 by
-default) in scipy's private extension ``scipy/integrate/_dop``, loaded from
-its file on first use so that importing this module imports no scipy package;
-samples are reached by stepping to each output time.  The right-hand side
-writes one shared array, which relies on the wrapper copying each returned
-buffer before its next call (pinned bit for bit by a test against a
-list-returning right-hand side), and each output interval gets the cheapest
-body that the drive envelope allows there.  A fixed-step classic
-RK4 is kept for bit-reproducibility studies.  Potential extrema are refined
-by bisection on the closed-form dU/dphi.
+Integration calls the compiled Hairer DOP853 code in scipy's private
+extension ``scipy/integrate/_dop``, loaded from its file on first use so that
+importing this module imports no scipy package; samples are reached by
+stepping to each output time.  The right-hand side writes one shared array,
+which relies on the wrapper copying each returned buffer before its next call
+(pinned bit for bit by a test against a list-returning right-hand side), and
+each output interval gets the cheapest body that the drive envelope allows
+there.  Potential extrema are refined by bisection on the closed-form
+dU/dphi.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import importlib.util
 import math
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -86,59 +85,42 @@ class DriveEnvelope:
     """On/off window multiplying the drive term.
 
     The switch-off at ``t_off`` uses a raised-cosine ramp of
-    ``ramp_duration`` seconds ending at t_off (``ramp_duration=None`` means
-    5 drive periods, resolved at integration time; 0.0 means an
-    instantaneous switch).  ``t_on`` turns the drive on the same way.  A
-    non-finite time, a negative ramp and a ``t_off`` not later than ``t_on``
-    are rejected.
+    ``ramp_duration`` seconds ending at t_off (required, keyword-only; 0.0
+    means an instantaneous switch).  ``t_on`` turns the drive on the same
+    way.  A non-finite time, a negative or non-finite ramp and a ``t_off``
+    not later than ``t_on`` are rejected.
     """
 
     t_on: float = 0.0
     t_off: float | None = None
-    ramp_duration: float | None = None
+    ramp_duration: float = field(kw_only=True)
 
     def __post_init__(self) -> None:
         _require(math.isfinite(self.t_on), "DriveEnvelope.t_on must be finite")
         _require(self.t_off is None or math.isfinite(self.t_off),
                  "DriveEnvelope.t_off must be None or finite")
-        _require(self.ramp_duration is None or 0.0 <= self.ramp_duration < math.inf,
-                 "DriveEnvelope.ramp_duration must be None or non-negative and finite")
+        _require(self.ramp_duration is not None and 0.0 <= self.ramp_duration < math.inf,
+                 "DriveEnvelope.ramp_duration must be a non-negative finite number")
         _require(self.t_off is None or self.t_off > self.t_on,
                  "DriveEnvelope.t_off must be later than t_on (the drive would never "
                  "turn on)")
 
-    def resolve_ramp(self, drive_period: float) -> float:
-        if self.ramp_duration is not None:
-            return self.ramp_duration
-        return 5.0 * drive_period
-
 
 @dataclass(frozen=True)
 class StepControl:
-    """Integrator selection and local-error tolerances.
+    """Local-error tolerances of the DOP853 integrator.
 
     ``abs_tol`` applies to the phase; the rate component gets abs_tol scaled
     by the fastest system frequency so both components are controlled at the
-    same effective resolution.  ``method`` is one of "dop853", "rk45"
-    (adaptive; runs DOPRI5) or "rk4" (fixed step, requires ``fixed_step``).
-    ``max_step`` bounds the adaptive step size; ``inf`` leaves it unbounded.
+    same effective resolution.  The step size is unbounded.
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    method: str = "dop853"
-    max_step: float = math.inf
-    fixed_step: float | None = None
 
     def __post_init__(self) -> None:
         _require(self.rel_tol > 0.0 and self.abs_tol > 0.0,
                  "StepControl tolerances must be positive")
-        _require(self.max_step > 0.0, "StepControl.max_step must be positive")
-        _require(self.method in ("dop853", "rk45", "rk4"),
-                 "StepControl.method must be 'dop853', 'rk45' or 'rk4'")
-        if self.method == "rk4":
-            _require(self.fixed_step is not None and self.fixed_step > 0.0,
-                     "StepControl.fixed_step must be positive for method 'rk4'")
 
 
 def build_eom(params: CircuitParams, drive: DriveWaveform | None) -> EomParams:
@@ -177,9 +159,9 @@ def specific_energy(eom: EomParams, phi: "float | np.ndarray",
     return out if np.ndim(phi) or np.ndim(phi_dot) else float(out)
 
 
-def _envelope_scalar(env: DriveEnvelope, ramp: float):
+def _envelope_scalar(env: DriveEnvelope):
     """Python-scalar envelope evaluator (the RHS hot path)."""
-    t_on, t_off = env.t_on, env.t_off
+    t_on, t_off, ramp = env.t_on, env.t_off, env.ramp_duration
     if ramp <= 0.0:
         def value(t: float) -> float:
             if t < t_on or (t_off is not None and t >= t_off):
@@ -199,11 +181,9 @@ def _envelope_scalar(env: DriveEnvelope, ramp: float):
     return value
 
 
-def _rhs_factory(eom: EomParams, envelope: DriveEnvelope | None, ramp: float,
-                 rate_scale: float = 1.0):
-    """Right-hand sides for the state (phi, phi_dot/rate_scale); 1.0 leaves
-    every operation exact.  Returns the undriven, plain driven and whole-span
-    bodies: the last is right everywhere, the first two give its bits where
+def _rhs_factory(eom: EomParams, envelope: DriveEnvelope | None, rate_scale: float):
+    """Right-hand sides for the state (phi, phi_dot/rate_scale).  Returns
+    the undriven, plain driven and whole-span bodies: the last is right everywhere, the first two give its bits where
     the envelope is 0 or 1.  Each writes one shared array and returns it, so
     a caller keeping a result past the next call must copy it.  The compiled
     solvers keep stepping after an exception in their callback, so sin(+-inf)
@@ -237,7 +217,7 @@ def _rhs_factory(eom: EomParams, envelope: DriveEnvelope | None, ramp: float,
         return out
     if envelope is None:
         return undriven, driven, driven
-    env_value = _envelope_scalar(envelope, ramp)
+    env_value = _envelope_scalar(envelope)
 
     def enveloped(t: float, y):
         p, v = y.tolist()
@@ -250,18 +230,16 @@ def _rhs_factory(eom: EomParams, envelope: DriveEnvelope | None, ramp: float,
     return undriven, driven, enveloped
 
 
-def _body_index(env: DriveEnvelope, ramp: float, t: float, t_end: float,
-                max_step: float) -> int:
+def _body_index(env: DriveEnvelope, t: float, t_end: float) -> int:
     """The cheapest of :func:`_rhs_factory`'s bodies with the enveloped body's
     bits on one compiled call from ``t`` to ``t_end``: 0 where the envelope
-    is 0 throughout, 1 where it is 1 throughout, else 2.  The codes' first
-    trial step may reach a finite ``max_step`` (0: unbounded) past ``t``, and
-    a few ulps of padding guard against stage times rounded past the ends."""
-    reach = math.copysign(max(abs(t_end - t), max_step), t_end - t)
-    lo, hi = sorted((t, t + reach))
+    is 0 throughout, 1 where it is 1 throughout, else 2.  The code caps every
+    trial step at the distance left to ``t_end``, and a few ulps of padding
+    guard against stage times rounded past the ends."""
+    lo, hi = sorted((t, t_end))
     pad = 4.0 * math.ulp(max(abs(lo), abs(hi)))
-    lo, hi, ramp = lo - pad, hi + pad, max(ramp, 0.0)
-    t_off = math.inf if env.t_off is None else env.t_off
+    lo, hi = lo - pad, hi + pad
+    ramp, t_off = env.ramp_duration, math.inf if env.t_off is None else env.t_off
     if hi < env.t_on or lo >= t_off:
         return 0
     if lo > env.t_on + ramp and hi < t_off - ramp:
@@ -269,29 +247,7 @@ def _body_index(env: DriveEnvelope, ramp: float, t: float, t_end: float,
     return 2
 
 
-def _rk4_fixed(rhs, t_grid: np.ndarray, y0: np.ndarray, step: float) -> np.ndarray:
-    """Classic RK4 marched between output samples with equal substeps."""
-    out = np.empty((2, len(t_grid)))
-    y = np.array(y0, dtype=float)
-    out[:, 0] = y
-    for i in range(len(t_grid) - 1):
-        t0, t1 = t_grid[i], t_grid[i + 1]
-        n_sub = max(1, int(math.ceil(abs(t1 - t0) / step)))
-        h = (t1 - t0) / n_sub
-        t = t0
-        for _ in range(n_sub):
-            # rhs returns one shared array: copy each stage
-            k1 = np.array(rhs(t, y))
-            k2 = np.array(rhs(t + 0.5 * h, y + 0.5 * h * k1))
-            k3 = np.array(rhs(t + 0.5 * h, y + 0.5 * h * k2))
-            k4 = np.array(rhs(t + h, y + h * k3))
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t += h
-        out[:, i + 1] = y
-    return out
-
-
-# Return codes of the Hairer codes, as scipy's wrapper words them.
+# Return codes of the Hairer code, as scipy's wrapper words them.
 _DOP_FAILURES = {
     -1: "input is not consistent",
     -2: "larger nsteps is needed",
@@ -318,7 +274,7 @@ def _scipy_version(root: str) -> str:
 
 @functools.cache
 def _dop_codes():
-    """scipy's compiled DOP853/DOPRI5 extension, loaded from its file.
+    """scipy's compiled DOP853 extension, loaded from its file.
 
     ``find_spec`` locates scipy without running its ``__init__``, and the
     extension imports numpy only, so this costs ~1 ms where importing scipy's
@@ -338,7 +294,7 @@ def _dop_codes():
     release = re.match(r"(\d+)\.(\d+)", version)
     if release is None or tuple(map(int, release.groups())) != (1, 17):
         raise ImportError(
-            f"integrate_trajectory needs scipy 1.17.x, whose compiled DOP853/DOPRI5 "
+            f"integrate_trajectory needs scipy 1.17.x, whose compiled DOP853 "
             f"extension _dop in {folder} has the call signature used here; "
             f"found scipy {version}")
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
@@ -350,7 +306,7 @@ def _dop_codes():
             loader.exec_module(module)
             return module
     raise ImportError(
-        f"integrate_trajectory needs scipy's compiled DOP853/DOPRI5 extension "
+        f"integrate_trajectory needs scipy's compiled DOP853 extension "
         f"_dop in {folder}; found scipy {version}")
 
 
@@ -361,9 +317,9 @@ def integrate_trajectory(eom: EomParams, phi0: float, phidot0: float,
                          n_samples: int = 1001) -> Trajectory:
     """Integrate the equation of motion over ``t_span``.
 
-    Output is sampled on ``n_samples`` uniformly spaced times.  The adaptive
-    methods call the compiled Hairer DOP853/DOPRI5 codes directly, once per
-    output time, with the step-size settings of scipy's ``ode`` wrapper.  A
+    Output is sampled on ``n_samples`` uniformly spaced times.  The compiled
+    Hairer DOP853 code is called directly, once per output time, with the
+    step-size settings of scipy's ``ode`` wrapper and no step-size bound.  A
     decreasing ``t_span`` integrates backwards, which is how the
     time-reversal checks are run.  Integrator failures (step-size underflow
     from stiffness, non-finite state) raise :class:`IntegrationError`.
@@ -371,55 +327,35 @@ def integrate_trajectory(eom: EomParams, phi0: float, phidot0: float,
     t0, t1 = float(t_span[0]), float(t_span[1])
     _require(t0 != t1, "integrate_trajectory t_span must be non-degenerate")
     _require(n_samples >= 2, "integrate_trajectory needs n_samples >= 2")
-    drive_period = (2.0 * math.pi / eom.drive_omega) if eom.drive_omega > 0.0 else 0.0
-    ramp = envelope.resolve_ramp(drive_period) if envelope is not None else 0.0
     t_grid = np.linspace(t0, t1, n_samples)
-
-    if step_control.method == "rk4":
-        rhs = _rhs_factory(eom, envelope, ramp)[2]
-        try:
-            y = _rk4_fixed(rhs, t_grid, np.array([phi0, phidot0]),
-                           step_control.fixed_step)
-        except (ValueError, OverflowError, FloatingPointError) as exc:
-            raise IntegrationError(f"rk4 aborted: {exc}") from exc
-        if not np.all(np.isfinite(y)):
-            raise IntegrationError("rk4 produced non-finite state (reduce fixed_step)")
-        return _as_trajectory(t_grid, y)
-
-    # The compiled codes take a scalar atol, so integrate (phi, phi_dot/w):
+    # The compiled code takes a scalar atol, so integrate (phi, phi_dot/w):
     # its error norm equals that of (phi, phi_dot) under the per-component
     # atol [abs_tol, abs_tol*w], with w the fastest system rate.
     rate_scale = max(eom.small_oscillation_frequency, eom.drive_omega,
                      1.0 / abs(t1 - t0))
-    bodies = _rhs_factory(eom, envelope, ramp, rate_scale)
-    if step_control.method == "dop853":
-        name, run, n_work, dfactor, ifactor = "dop853", _dop_codes().dopri853, 43, 0.3, 6.0
-    else:
-        name, run, n_work, dfactor, ifactor = "dopri5", _dop_codes().dopri5, 37, 0.2, 10.0
-    work = np.zeros(n_work)  # 11n+21 (DOP853) or 8n+21 (DOPRI5) doubles, n = 2
-    max_step = 0.0 if math.isinf(step_control.max_step) else step_control.max_step
-    work[1:7] = 0.9, dfactor, ifactor, 0.0, max_step, 0.0  # safety .. first_step (auto)
+    bodies = _rhs_factory(eom, envelope, rate_scale)
+    run = _dop_codes().dopri853
+    work = np.zeros(43)  # 11n+21 doubles, n = 2
+    # safety, step-ratio bounds, beta, max_step (0: none), first_step (0: auto)
+    work[1:7] = 0.9, 0.3, 6.0, 0.0, 0.0, 0.0
     iwork = np.zeros(21, dtype=np.int32)
     t = t0
     state = np.array([float(phi0), float(phidot0) / rate_scale])
     y = np.empty((2, n_samples))
     y[:, 0] = phi0, phidot0
-    # Not from a rate of -0.0: the undriven body keeps its sign, where
-    # force * 0.0 * cos may flip it.
-    per_interval = envelope is not None and bodies[0] is not bodies[2] and not (
-        state[1] == 0.0 and math.copysign(1.0, state[1]) < 0.0)
+    per_interval = envelope is not None and bodies[0] is not bodies[2]
     rhs = bodies[2]
     for i in range(1, n_samples):
         if per_interval:
-            rhs = bodies[_body_index(envelope, ramp, t, t_grid[i], max_step)]
-        # The codes may write into y, hence the copy; the trailing () is
+            rhs = bodies[_body_index(envelope, t, t_grid[i])]
+        # The code may write into y, hence the copy; the trailing () is
         # fcn_extra_args, and leaving it out has crashed the process.
         t, state, idid = run(rhs, t, state.copy(), t_grid[i], step_control.rel_tol,
                              step_control.abs_tol, _no_solout, 0, work, iwork,
                              2 ** 31 - 1, -1, ())  # no step limit, silent
         if idid < 0:
             raise IntegrationError(
-                f"{name} aborted at t={t:.6g} s: "
+                f"dop853 aborted at t={t:.6g} s: "
                 f"{_DOP_FAILURES.get(idid, 'unknown failure')} (return code {idid})")
         y[:, i] = state
     y[1, 1:] *= rate_scale

@@ -203,15 +203,12 @@ _CIRCUIT_DYNAMICS_KEYS = {
     "ramp_periods": KeySpec("number", "ramp length in drive periods", default=5.0),
     "initial_phi_rad": KeySpec("number", "initial phase difference, radians", default=0.0),
     "initial_phidot_rad_per_s": KeySpec("number", "initial phase rate, rad/s", default=0.0),
-    "method": KeySpec("string", "integrator", default="dop853", choices=("dop853", "rk45", "rk4")),
-    "fixed_step_ns": KeySpec("number", "fixed step for rk4, nanoseconds", positive=True),
 }
 
 
 def _build_circuit_dynamics(p: Mapping[str, Any], numerics: Mapping[str, Any]) -> SimpleNamespace:
     circuit = _lib("circuit")
-    keys = {"t_on": "drive_t_on_ns", "t_off": "drive_t_off_ns", "ramp_duration": "ramp_periods",
-            "method": "method", "fixed_step": "fixed_step_ns"}
+    keys = {"t_on": "drive_t_on_ns", "t_off": "drive_t_off_ns", "ramp_duration": "ramp_periods"}
     params = _circuit_params(p)
     drive = _drive(p, phase0=p["drive_phase0_rad"])
     t_off = p.get("drive_t_off_ns")
@@ -221,9 +218,7 @@ def _build_circuit_dynamics(p: Mapping[str, Any], numerics: Mapping[str, Any]) -
                 else p["ramp_periods"] * 2.0 * math.pi / drive.omega)
         envelope = _make(circuit.DriveEnvelope, keys, t_on=p["drive_t_on_ns"] * 1e-9,
                          t_off=None if t_off is None else t_off * 1e-9, ramp_duration=ramp)
-    step = p.get("fixed_step_ns")
-    control = _make(circuit.StepControl, keys, **numerics, method=p["method"],
-                    fixed_step=None if step is None else step * 1e-9)
+    control = circuit.StepControl(**numerics)
     return SimpleNamespace(p=p, params=params, drive=drive, envelope=envelope, control=control)
 
 

@@ -150,10 +150,11 @@ class CircuitParams(_FieldDict):
 
     def __post_init__(self) -> None:
         for name in ("c_sphere", "c_sigma", "c_gate", "c_prime", "inductance"):
-            _require(getattr(self, name) > 0.0,
-                     f"CircuitParams.{name} must be strictly positive")
-        _require(self.e_josephson >= 0.0, "CircuitParams.e_josephson must be non-negative")
-        _require(self.c_josephson >= 0.0, "CircuitParams.c_josephson must be non-negative")
+            _require(0.0 < getattr(self, name) < math.inf,
+                     f"CircuitParams.{name} must be strictly positive and finite")
+        for name in ("e_josephson", "c_josephson"):
+            _require(0.0 <= getattr(self, name) < math.inf,
+                     f"CircuitParams.{name} must be non-negative and finite")
         _require(self.c_sigma >= self.c_josephson,
                  "CircuitParams.c_sigma must be >= c_josephson "
                  "(total capacitance includes the junction)")
@@ -208,6 +209,9 @@ class DriveWaveform(_FieldDict):
             _require(self.samples is None, "DriveWaveform: sinusoid takes no samples")
             object.__setattr__(self, "period", 2.0 * math.pi / self.omega)
             return
+        _require(self.amplitude == 0.0 and self.phase0 == 0.0,
+                 "DriveWaveform: a sampled waveform takes no amplitude or phase0 "
+                 "(its samples are the values)")
         _require(self.samples is not None and len(self.samples) >= 2,
                  "DriveWaveform: sampled waveform needs >= 2 samples")
         samples = tuple((float(t), float(v)) for t, v in self.samples)

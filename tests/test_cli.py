@@ -334,8 +334,9 @@ class TestMainAndExitCodes:
 
     @pytest.mark.parametrize("target, overrides, key", [
         ("fig3", {"n_samples": 1}, "n_samples"),
-        ("fig3", {"method": "rk4"}, "fixed_step_ns"),
-        ("fig3", {"method": "rk4", "fixed_step_ns": -0.001}, "fixed_step_ns"),
+        # the integrator knobs are gone; fixed_step_ns used to be read by rk4 only
+        ("fig3", {"fixed_step_ns": 0.001}, "fixed_step_ns"),
+        ("fig3", {"method": "rk45"}, "method"),
         ("fig4", {"n_points": 2}, "n_points"),
         ("earth-shell", {"m1_kg": 1e30}, "m1_kg"),
         ("fig4", {"phi_min_rad": 5, "phi_max_rad": -5}, "phi_max_rad"),

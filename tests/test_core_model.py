@@ -91,7 +91,12 @@ class TestCircuitParams:
         ({"e_josephson": math.nan}, "e_josephson must be non-negative"),
         # 0.0 is an inductance, not "derive it from e_inductive"
         ({"inductance": 0.0}, "inductance must be strictly positive"),
-        ({"inductance": -1e-9}, "inductance must be strictly positive")])
+        ({"inductance": -1e-9}, "inductance must be strictly positive"),
+        # an infinite element used to surface later, as EomParams.nonlinear_coeff
+        ({"inductance": math.inf}, "inductance must be strictly positive and finite"),
+        ({"c_sigma": math.inf}, "c_sigma must be strictly positive and finite"),
+        ({"e_josephson": math.inf}, "e_josephson must be non-negative and finite"),
+        ({"c_josephson": math.inf}, "c_josephson must be non-negative and finite")])
     def test_rejects_negative_energy_or_reactance(self, overrides, message):
         with pytest.raises(ValueError, match=message):
             make_circuit_params(**overrides)
@@ -140,6 +145,13 @@ class TestDriveWaveform:
     def test_rejects_non_finite_inputs(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()
+
+    @pytest.mark.parametrize("unused", [{"amplitude": 7.0}, {"phase0": 1.0}])
+    def test_sampled_rejects_an_amplitude_or_phase0(self, unused):
+        # the samples are the values; both used to be stored and never read
+        with pytest.raises(ValueError, match="sampled waveform takes no amplitude or phase0"):
+            DriveWaveform(kind="sampled", omega=2 * math.pi,
+                          samples=((0, 1), (0.5, 2), (1, 1)), **unused)
 
     def test_sampled_periodic_extension(self):
         t = np.linspace(0.0, 1.0, 9)
