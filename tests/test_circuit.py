@@ -2,6 +2,7 @@
 mapping, and flux-quantum bookkeeping."""
 
 import csv
+import dataclasses
 import importlib.machinery
 import math
 import os
@@ -114,6 +115,25 @@ class TestDriveEnvelope:
             DriveEnvelope(**({"ramp_duration": 0.0} | kwargs))
 
 
+class TestStepControl:
+    def test_holds_only_the_two_tolerances(self):
+        assert [f.name for f in dataclasses.fields(StepControl)] == ["rel_tol", "abs_tol"]
+        assert (StepControl().rel_tol, StepControl().abs_tol) == (1e-10, 1e-12)
+
+    @pytest.mark.parametrize("knob", ["method", "max_step", "fixed_step"])
+    def test_removed_integrator_knobs_are_rejected(self, knob):
+        # DOP853 is the only integrator, so nothing selects or bounds a step
+        with pytest.raises(TypeError, match=knob):
+            StepControl(**{knob: 1e-12})
+
+    @pytest.mark.parametrize("kwargs", [
+        {"rel_tol": 0.0}, {"rel_tol": -1e-10}, {"rel_tol": math.nan},
+        {"abs_tol": 0.0}, {"abs_tol": math.nan}])
+    def test_rejects_a_non_positive_tolerance(self, kwargs):
+        with pytest.raises(ValueError, match="StepControl tolerances must be positive"):
+            StepControl(**kwargs)
+
+
 class TestIntegrateTrajectory:
     def test_harmonic_solution(self):
         eom = build_eom(fig3_params(e_josephson=0.0), None)
@@ -158,6 +178,12 @@ class TestIntegrateTrajectory:
         eom = build_eom(fig3_params(), None)
         with pytest.raises(IntegrationError):
             integrate_trajectory(eom, phi0, 0.0, (0.0, 1e-9), n_samples=11)
+
+    @pytest.mark.parametrize("phidot0", [math.inf, math.nan])
+    def test_non_finite_rate_raises(self, phidot0):
+        eom = build_eom(fig3_params(), None)
+        with pytest.raises(IntegrationError):
+            integrate_trajectory(eom, 0.1, phidot0, (0.0, 1e-9), n_samples=11)
 
     def test_fixed_point_stays_put(self):
         eom = build_eom(fig3_params(), None)
@@ -417,6 +443,23 @@ class TestReferenceRhs:
             assert np.all(traj.delta_phi == 0.0) and np.signbit(ref[1][0])
         else:
             assert np.max(np.abs(traj.delta_phi)) > 0.0
+        assert traj.delta_phi.tobytes() == ref[0].tobytes()
+        assert traj.delta_phi_dot.tobytes() == ref[1].tobytes()
+
+    @pytest.mark.parametrize("phi0", [0.0, -0.0])
+    @pytest.mark.parametrize("n_samples", [2, 3, 5, 31])
+    def test_minus_zero_rate_matches_without_a_body_guard(self, n_samples, phi0):
+        # At rest with a rate of -0.0 until the drive turns on at 1 ns: the
+        # intervals before the switch run the undriven body, and no guard
+        # keeps the whole-span body there for the sign of the rate.
+        drive = DriveWaveform.sinusoid(1e-6, 2 * math.pi * 2e9)
+        eom = build_eom(fig3_params(), drive)
+        envelope = DriveEnvelope(t_on=1e-9, ramp_duration=0.0)
+        traj = integrate_trajectory(eom, phi0, -0.0, (0.0, 4e-9), envelope=envelope,
+                                    n_samples=n_samples)
+        ref = self.reference(eom, phi0, -0.0, (0.0, 4e-9), StepControl(), envelope,
+                             n_samples)
+        assert np.max(np.abs(traj.delta_phi)) > 0.0
         assert traj.delta_phi.tobytes() == ref[0].tobytes()
         assert traj.delta_phi_dot.tobytes() == ref[1].tobytes()
 

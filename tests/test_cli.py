@@ -647,6 +647,18 @@ class TestNumericsPerExperiment:
                         r"numerics; no key is valid there$", err)
 
     @pytest.mark.parametrize("experiment, numerics", [
+        # StepControl's defaults, spelled out
+        ("CircuitDynamics", {"rel_tol": 1e-10, "abs_tol": 1e-12}),
+        ("ElectricSidebands", {"truncation_n": None}),
+    ])
+    def test_spelled_out_default_numerics_write_the_default_bytes(self, tmp_path, capsys,
+                                                                  experiment, numerics):
+        assert self.run(tmp_path, experiment, {}) == EXIT_OK
+        default = (tmp_path / "out").read_bytes()
+        assert self.run(tmp_path, experiment, numerics) == EXIT_OK
+        assert (tmp_path / "out").read_bytes() == default
+
+    @pytest.mark.parametrize("experiment, numerics", [
         ("CircuitDynamics", {"rel_tol": 1e-4, "abs_tol": 1e-6}),
         ("ElectricSidebands", {"truncation_n": 40}),
         ("FloquetDecompose", {"truncation_n": 40}),
