@@ -23,12 +23,11 @@ _EXPORTS = {
                  "accumulate_grav_phase", "net_bulk_phase", "write_phase_csv"),
     "circuit": ("EomParams", "DriveEnvelope", "StepControl", "PotentialLandscape",
                 "IntegrationError", "build_eom", "integrate_trajectory", "specific_energy",
-                "potential_landscape", "flux_quantum_count", "harmonic_level_spacing"),
+                "potential_landscape"),
     "spectral": ("FloquetDecomposition", "bessel_j", "jacobi_anger_coeffs",
                  "required_truncation", "quasi_energy_ladder", "floquet_decompose",
                  "fm_spectrum_via_fft"),
-    "redshift": ("ModulationIndices", "TransitionSpectrum", "shell_potential",
-                 "exploding_shell_potential", "rest_mass_in_potential",
+    "redshift": ("ModulationIndices", "TransitionSpectrum", "exploding_shell_potential",
                  "redshifted_frequency", "modulation_indices",
                  "transition_sideband_spectrum", "ion_cancellation_check"),
 }

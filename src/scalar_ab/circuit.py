@@ -49,8 +49,6 @@ __all__ = [
     "integrate_trajectory",
     "specific_energy",
     "potential_landscape",
-    "flux_quantum_count",
-    "harmonic_level_spacing",
 ]
 
 
@@ -119,8 +117,8 @@ class StepControl:
     abs_tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        _require(self.rel_tol > 0.0 and self.abs_tol > 0.0,
-                 "StepControl tolerances must be positive")
+        _require(0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf,
+                 "StepControl tolerances must be positive and finite")
 
 
 def build_eom(params: CircuitParams, drive: DriveWaveform | None) -> EomParams:
@@ -411,10 +409,7 @@ def _potential_factory(params: CircuitParams):
     def du(phi):
         return 2.0 * quad * np.asarray(phi) + ej * np.sin(phi)
 
-    def d2u(phi):
-        return 2.0 * quad + ej * np.cos(phi)
-
-    return u, du, d2u
+    return u, du
 
 
 def _bracketed_root(f, a: float, b: float) -> float:
@@ -441,7 +436,7 @@ def potential_landscape(params: CircuitParams, phi_range: tuple[float, float],
     lo, hi = float(phi_range[0]), float(phi_range[1])
     _require(lo < hi, "potential_landscape phi_range must be increasing")
     _require(n_points >= 3, "potential_landscape needs n_points >= 3")
-    u, du, _ = _potential_factory(params)
+    u, du = _potential_factory(params)
     grid = np.linspace(lo, hi, int(n_points))
     values = u(grid)
 
@@ -472,38 +467,3 @@ def potential_landscape(params: CircuitParams, phi_range: tuple[float, float],
     return PotentialLandscape(phi_grid=grid, u_values=values,
                               minima=tuple(minima), barrier_heights=tuple(barriers))
 
-
-def flux_quantum_count(delta_phi: "float | np.ndarray") -> "int | np.ndarray":
-    """Trapped flux quanta: nearest integer to delta_phi / 2*pi.
-
-    Zero for |delta_phi| < pi; exact half-integer multiples of 2*pi resolve
-    by round-to-even.  A non-finite delta_phi, or one whose count does not
-    fit an int64, is rejected.
-    """
-    counts = np.rint(np.asarray(delta_phi, dtype=float) / (2.0 * math.pi))
-    _require(bool((np.abs(counts) < 2.0 ** 63).all()),
-             "flux_quantum_count needs a finite delta_phi whose count fits an int64")
-    counts = counts.astype(np.int64)
-    return counts if np.ndim(delta_phi) else int(counts)
-
-
-def harmonic_level_spacing(landscape: PotentialLandscape, params: CircuitParams,
-                           which_minimum: int) -> float:
-    """Harmonic estimate hbar*sqrt(U''(phi*)/m_eff) of the level spacing in
-    the selected well, with m_eff = (hbar/2e)^2 * C_sigma.
-
-    This is an estimate only: it ignores anharmonic corrections and any
-    tunneling between wells.
-    """
-    _require(0 <= which_minimum < len(landscape.minima),
-             f"harmonic_level_spacing which_minimum out of range "
-             f"[0, {len(landscape.minima)})")
-    phi_star = landscape.minima[which_minimum][0]
-    _, _, d2u = _potential_factory(params)
-    curvature = float(d2u(phi_star))
-    if curvature <= 0.0:
-        raise ValueError(
-            f"harmonic_level_spacing: U''({phi_star:g}) = {curvature:.3g} <= 0; "
-            "the selected point is not a potential minimum for these parameters")
-    m_eff = (HBAR / (2.0 * E_CHARGE)) ** 2 * params.c_sigma
-    return HBAR * math.sqrt(curvature / m_eff)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Any, Iterable, Mapping, Self, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -75,29 +75,17 @@ def _plain(value: Any) -> Any:
 
 
 class _FieldDict:
-    """``to_dict``/``from_dict`` for a value type: one entry per dataclass
-    field, so ``from_dict`` is just the constructor, which already turns
-    JSON's lists back into read-only arrays and tuples."""
+    """``to_dict`` for a value type: one entry per dataclass field, so the
+    constructor inverts it, turning JSON's lists back into read-only arrays
+    and tuples."""
 
     def to_dict(self) -> dict[str, Any]:
         return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> Self:
-        return cls(**data)
-
 
 @dataclass(frozen=True)
 class PhysicalConstants(_FieldDict):
-    """Fundamental constants (CODATA 2018 defaults), SI units.
-
-    ``flux_quantum`` is always recomputed as h/2e from the stored values so
-    it can never be inconsistent.  ``flux_to_phase`` (2*pi/flux_quantum,
-    rad/Wb) is the conversion between branch flux and superconducting phase.
-    A caution on units: the conversion constant is ~3.04e15 rad/Wb while one
-    flux quantum is ~2.07e-15 Wb; quoted "flux-to-phase" numbers of order
-    1e-15 Wb are the flux quantum itself, not the conversion.
-    """
+    """Fundamental constants (CODATA 2018 defaults), SI units."""
 
     hbar: float = 1.054571817e-34    # J*s
     h: float = 6.62607015e-34        # J*s
@@ -109,16 +97,6 @@ class PhysicalConstants(_FieldDict):
         for name in ("hbar", "h", "e_charge", "c_light", "g_newton"):
             _require(getattr(self, name) > 0.0,
                      f"PhysicalConstants.{name} must be strictly positive")
-
-    @property
-    def flux_quantum(self) -> float:
-        """Magnetic flux quantum h/2e in Wb."""
-        return self.h / (2.0 * self.e_charge)
-
-    @property
-    def flux_to_phase(self) -> float:
-        """Flux-to-phase conversion 2*pi/flux_quantum in rad/Wb."""
-        return 2.0 * math.pi / self.flux_quantum
 
 
 CODATA2018 = PhysicalConstants()
@@ -135,8 +113,7 @@ G_NEWTON = CODATA2018.g_newton
 class CircuitParams(_FieldDict):
     """Lumped-element values of the shielded Josephson circuit.
 
-    ``e_inductive`` ((hbar/2e)^2 / inductance) and ``e_charging``
-    ((2e)^2 / 2*C_sigma) are derived, never stored;
+    ``e_inductive`` ((hbar/2e)^2 / inductance) is derived, never stored;
     :meth:`from_inductive_energy` builds the circuit from E_L instead of L.
     """
 
@@ -169,11 +146,6 @@ class CircuitParams(_FieldDict):
     def e_inductive(self) -> float:
         """Inductive energy (hbar/2e)^2 / inductance in J, recomputed on access."""
         return (HBAR / (2.0 * E_CHARGE)) ** 2 / self.inductance
-
-    @property
-    def e_charging(self) -> float:
-        """Charging energy (2e)^2 / (2*C_sigma) in J, recomputed on access."""
-        return (2.0 * E_CHARGE) ** 2 / (2.0 * self.c_sigma)
 
 
 _SINUSOID = "sinusoid"
@@ -409,11 +381,11 @@ def _check_norm(owner: str, term: str, values: np.ndarray, tol: float, bound: st
 class SidebandSpectrum:
     """Quasi-energy ladder with a complex amplitude per harmonic index n.
 
-    The energy of entry n is ``base_energy + n*hbar*omega`` and is always
-    recomputed (see :meth:`energy_of`), never stored.  Construction enforces
-    the wavefunction normalization sum |c_n|^2 = 1 within ``norm_tol``.
-    ``coefficients`` may be given as any mapping and is stored as a
-    read-only mapping over arrays, keys ascending.
+    The energy of entry n is ``base_energy + n*hbar*omega``, never stored;
+    :func:`scalar_ab.spectral.quasi_energy_ladder` computes it.  Construction
+    enforces the wavefunction normalization sum |c_n|^2 = 1 within
+    ``norm_tol``.  ``coefficients`` may be given as any mapping and is
+    stored as a read-only mapping over arrays, keys ascending.
     """
 
     base_energy: float                     # J
@@ -432,10 +404,6 @@ class SidebandSpectrum:
         _check_norm("SidebandSpectrum", "|c_n|^2", coeffs.c, self.norm_tol,
                     "norm_tol={tol:g}")
 
-    def energy_of(self, n: int) -> float:
-        """Quasi-energy base_energy + n*hbar*omega of harmonic n, in J."""
-        return self.base_energy + n * (HBAR * self.omega)
-
     def amplitude(self, n: int) -> complex:
         return self.coefficients.get(n, 0.0 + 0.0j)
 
@@ -446,15 +414,6 @@ class SidebandSpectrum:
             "truncation_n": self.truncation_n,
             "coefficients": self.coefficients.to_list(),
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SidebandSpectrum":
-        coeffs = {int(entry["n"]): complex(float(entry["re"]), float(entry["im"]))
-                  for entry in data["coefficients"]}
-        return cls(base_energy=float(data["base_energy_J"]),
-                   omega=float(data["omega_rad_per_s"]),
-                   coefficients=coeffs,
-                   truncation_n=int(data["truncation_n"]))
 
 
 @dataclass(frozen=True)

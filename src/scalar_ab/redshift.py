@@ -1,7 +1,7 @@
-"""Two-level atom inside a time-varying mass shell: shell potential,
-mass-energy bookkeeping, gravitational redshift, FM modulation indices and
-transition sideband spectra, the phase inside an exploding shell, plus the
-charge-superselection cancellation check for the electric case.
+"""Two-level atom inside a time-varying mass shell: gravitational redshift,
+FM modulation indices and transition sideband spectra, the phase inside an
+exploding shell, plus the charge-superselection cancellation check for the
+electric case.
 
 The carrier line is redshifted by the DC shell potential -G*M0/r0 only; the
 AC component shows up exclusively as FM sidebands at multiples of the
@@ -30,9 +30,7 @@ if TYPE_CHECKING:
 __all__ = [
     "TransitionSpectrum",
     "ModulationIndices",
-    "shell_potential",
     "exploding_shell_potential",
-    "rest_mass_in_potential",
     "redshifted_frequency",
     "modulation_indices",
     "transition_sideband_spectrum",
@@ -40,17 +38,6 @@ __all__ = [
     "exploding_shell_phase",
     "ion_cancellation_check",
 ]
-
-
-def shell_potential(shell: MassShell, t: "float | np.ndarray") -> "float | np.ndarray":
-    """Interior potential -G*(M0 + M1*cos(omega*t))/r0 in J/kg.
-
-    Uniform throughout the interior (no field point dependence), so the
-    enclosed system feels no force, only the potential.
-    """
-    mass = shell.m0 + shell.m1 * np.cos(shell.omega * np.asarray(t, dtype=float))
-    out = -G_NEWTON * mass / shell.radius
-    return out if np.ndim(t) else float(out)
 
 
 def exploding_shell_potential(mass: float, radius_of_t, t_grid: Sequence[float],
@@ -86,20 +73,6 @@ def _check_weak_potential(potential: float, op: str) -> None:
         raise ValueError(
             f"{op}: |potential| = {abs(potential):.3g} J/kg is not below c^2 "
             f"= {C_LIGHT ** 2:.3g}; outside the weak-potential regime")
-
-
-def rest_mass_in_potential(rest_energy: float, potential: float) -> float:
-    """Rest mass m = E / (c^2 * (1 - potential/c^2)) of a system with
-    unperturbed energy E sitting in gravitational potential ``potential``
-    (J/kg).
-
-    Reduces to E/c^2 at zero potential.  The potential rescales the mass
-    exactly the way it rescales frequencies in
-    :func:`redshifted_frequency`: a negative potential divides by
-    1 + |potential|/c^2.
-    """
-    _check_weak_potential(potential, "rest_mass_in_potential")
-    return rest_energy / (C_LIGHT ** 2 * (1.0 - potential / C_LIGHT ** 2))
 
 
 def redshifted_frequency(local_frequency: float, potential: float) -> float:

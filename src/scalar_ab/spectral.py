@@ -43,6 +43,7 @@ BESSEL_MAX_ARG = 1e6
 _RESCALE_THRESHOLD = 1e250
 _HANKEL_MIN_ARG = 1e3
 _HANKEL_TERMS = 24
+_FLOQUET_MAX_N = 4096  # floquet_decompose doubles its truncation up to this
 
 
 def _bessel_row_tiny(alpha: float, n_max: int) -> np.ndarray:
@@ -269,14 +270,6 @@ class FloquetDecomposition:
     def amplitude(self, n: int) -> complex:
         return self.coefficients.get(n, 0.0 + 0.0j)
 
-    def energy_of(self, n: int) -> float:
-        return self.quasi_energy + n * (HBAR * self.omega)
-
-    def as_sideband_spectrum(self) -> SidebandSpectrum:
-        return SidebandSpectrum(base_energy=self.quasi_energy, omega=self.omega,
-                                coefficients=self.coefficients,
-                                truncation_n=self.truncation_n)
-
     def to_dict(self) -> dict:
         return {
             "quasi_energy_J": self.quasi_energy,
@@ -323,14 +316,13 @@ def _analysis_samples(potential: DriveWaveform, truncation_n: int) -> int:
 
 def floquet_decompose(potential: DriveWaveform, base_energy: float,
                       truncation_n: int | None = None, *,
-                      residual_tol: float = 1e-8,
-                      n_max_cap: int = 4096) -> FloquetDecomposition:
+                      residual_tol: float = 1e-8) -> FloquetDecomposition:
     """Decompose evolution under an arbitrary periodic potential energy (J).
 
     The accumulated phase (1/hbar) * integral U dt splits into a mean-slope
     part, absorbed into ``quasi_energy = base_energy + mean(U)``, and a
     periodic remainder whose exponential is Fourier-analyzed.  With
-    ``truncation_n=None`` the truncation grows (up to ``n_max_cap``) until
+    ``truncation_n=None`` the truncation doubles (up to 4096) until
     the reconstruction residual meets ``residual_tol``; an explicit
     truncation that cannot meet the residual is rejected, quoting the
     truncation that can when one exists.
@@ -357,18 +349,18 @@ def floquet_decompose(potential: DriveWaveform, base_energy: float,
         if residual <= residual_tol:
             break
         if explicit:
-            hint = _minimum_truncation(potential, residual_tol, n_max_cap)
+            hint = _minimum_truncation(potential, residual_tol)
             raise ValueError(
                 f"floquet_decompose: residual {residual:.3g} exceeds "
                 f"residual_tol={residual_tol:g} at truncation_n={n_try}; "
                 + (f"need truncation_n >= {hint}" if hint is not None else
-                   f"tolerance unreachable within the n_max_cap={n_max_cap} "
-                   "truncation cap (non-smooth waveform); relax residual_tol"))
-        if 2 * n_try > n_max_cap:
+                   f"tolerance unreachable within the truncation cap {_FLOQUET_MAX_N} "
+                   "(non-smooth waveform); relax residual_tol"))
+        if 2 * n_try > _FLOQUET_MAX_N:
             raise ValueError(
                 f"floquet_decompose: residual {residual:.3g} still exceeds "
                 f"residual_tol={residual_tol:g} at the truncation cap "
-                f"n_max_cap={n_max_cap} (non-smooth waveform); relax residual_tol")
+                f"{_FLOQUET_MAX_N} (non-smooth waveform); relax residual_tol")
         n_try *= 2
 
     return FloquetDecomposition(quasi_energy=base_energy + mean_u,
@@ -379,11 +371,9 @@ def floquet_decompose(potential: DriveWaveform, base_energy: float,
                                 residual_tol=residual_tol)
 
 
-def _minimum_truncation(potential: DriveWaveform, residual_tol: float,
-                        n_max_cap: int) -> int | None:
+def _minimum_truncation(potential: DriveWaveform, residual_tol: float) -> int | None:
     try:
-        auto = floquet_decompose(potential, 0.0, None,
-                                 residual_tol=residual_tol, n_max_cap=n_max_cap)
+        auto = floquet_decompose(potential, 0.0, None, residual_tol=residual_tol)
     except ValueError:
         return None
     return auto.truncation_n
@@ -403,6 +393,7 @@ def fm_spectrum_via_fft(phase_history: PhaseHistory, omega: float,
     _require(omega > 0.0, "fm_spectrum_via_fft omega must be positive")
     _require(truncation_n >= 0, "fm_spectrum_via_fft truncation_n must be >= 0")
     times = phase_history.times
+    _require(len(times) >= 2, "fm_spectrum_via_fft needs >= 2 samples")
     steps = np.diff(times)
     dt = float(steps[0])
     if not np.allclose(steps, dt, rtol=1e-9, atol=0.0):

@@ -314,7 +314,7 @@ class TestPhaseHistoryType:
         import json
 
         history = PhaseHistory(times=[0.0, 1e-9, 3e-9], phase=[0.0, 0.7, -2.4])
-        again = PhaseHistory.from_dict(json.loads(json.dumps(history.to_dict())))
+        again = PhaseHistory(**json.loads(json.dumps(history.to_dict())))
         assert np.array_equal(again.times, history.times)
         assert np.array_equal(again.phase, history.phase)
 

@@ -1,5 +1,5 @@
-"""Equation-of-motion assembly, trajectory integration, potential landscape
-mapping, and flux-quantum bookkeeping."""
+"""Equation-of-motion assembly, trajectory integration and potential
+landscape mapping."""
 
 import csv
 import dataclasses
@@ -17,7 +17,6 @@ from scipy.optimize import brentq
 from scalar_ab import circuit
 from scalar_ab.circuit import (DriveEnvelope, IntegrationError,
                                PotentialLandscape, StepControl, build_eom,
-                               flux_quantum_count, harmonic_level_spacing,
                                integrate_trajectory, potential_landscape,
                                specific_energy)
 from scalar_ab.core import CODATA2018, CircuitParams, DriveWaveform
@@ -128,9 +127,12 @@ class TestStepControl:
 
     @pytest.mark.parametrize("kwargs", [
         {"rel_tol": 0.0}, {"rel_tol": -1e-10}, {"rel_tol": math.nan},
-        {"abs_tol": 0.0}, {"abs_tol": math.nan}])
-    def test_rejects_a_non_positive_tolerance(self, kwargs):
-        with pytest.raises(ValueError, match="StepControl tolerances must be positive"):
+        {"abs_tol": 0.0}, {"abs_tol": math.nan},
+        # with an infinite tolerance every step passes, and the trajectory is wrong
+        {"rel_tol": math.inf}, {"abs_tol": math.inf}])
+    def test_rejects_a_non_positive_or_non_finite_tolerance(self, kwargs):
+        with pytest.raises(ValueError,
+                           match="StepControl tolerances must be positive and finite"):
             StepControl(**kwargs)
 
 
@@ -508,7 +510,7 @@ class TestPotentialLandscape:
         # the landscape used with it (xtol 1e-14, rtol 8.9e-16).
         params = landscape_params(1e9 * H, e_josephson=ratio * 1e9 * H)
         landscape = potential_landscape(params, (-4 * math.pi, 4 * math.pi), 4001)
-        u, du, _ = circuit._potential_factory(params)
+        u, du = circuit._potential_factory(params)
         step = landscape.phi_grid[1] - landscape.phi_grid[0]
         assert len(landscape.barrier_heights) >= 1
         for phi, energy in landscape.minima:
@@ -533,78 +535,3 @@ class TestPotentialLandscape:
         with pytest.raises(ValueError, match="phi_range"):
             potential_landscape(fig3_params(), (1.0, -1.0), 100)
 
-
-class TestFluxQuantumCount:
-    def test_zero(self):
-        assert flux_quantum_count(0.0) == 0
-
-    def test_one_quantum_at_two_pi(self):
-        assert flux_quantum_count(2 * math.pi) == 1
-
-    def test_negative_rounding(self):
-        assert flux_quantum_count(-6.4) == -1
-
-    def test_below_pi_is_zero(self):
-        assert flux_quantum_count(3.1) == 0
-        assert flux_quantum_count(-3.1) == 0
-
-    def test_vectorized(self):
-        out = flux_quantum_count(np.array([0.0, 2 * math.pi, -6.4, 13.0]))
-        assert list(out) == [0, 1, -1, 2]
-
-    def test_largest_counts_are_exact(self):
-        assert flux_quantum_count(2 * math.pi * 2.0 ** 62) == 2 ** 62
-        assert list(flux_quantum_count(np.array([-2 * math.pi * 2.0 ** 62]))) == [-2 ** 62]
-
-    @pytest.mark.parametrize("delta_phi", [math.nan, math.inf, -math.inf, 1e300, -1e300])
-    def test_rejects_non_finite_or_beyond_int64(self, delta_phi):
-        # the int cast used to return -2**63 with only a RuntimeWarning
-        with pytest.raises(ValueError, match="fits an int64"):
-            flux_quantum_count(delta_phi)
-        with pytest.raises(ValueError, match="fits an int64"):
-            flux_quantum_count(np.array([0.0, delta_phi]))
-
-
-class TestHarmonicLevelSpacing:
-    def test_lc_limit_equals_hbar_omega_c(self):
-        params = fig3_params(e_josephson=0.0)
-        landscape = potential_landscape(params, (-1.0, 1.0), 201)
-        eom = build_eom(params, None)
-        spacing = harmonic_level_spacing(landscape, params, 0)
-        assert spacing == pytest.approx(HBAR * eom.omega_c, rel=1e-12, abs=0.0)
-
-    def test_central_well_matches_finite_difference(self):
-        params = landscape_params(1e9 * H, e_josephson=25e9 * H)
-        landscape = potential_landscape(params, (-4 * math.pi, 4 * math.pi), 4001)
-        central = len(landscape.minima) // 2
-        spacing = harmonic_level_spacing(landscape, params, central)
-
-        # independent second derivative by central finite differences
-        phi_star = landscape.minima[central][0]
-        quad = (HBAR / (2 * E)) ** 2 / (2 * params.inductance)
-
-        def u(phi):
-            return quad * phi ** 2 - params.e_josephson * math.cos(phi)
-
-        h = 1e-5
-        curvature = (u(phi_star + h) - 2 * u(phi_star) + u(phi_star - h)) / h ** 2
-        m_eff = (HBAR / (2 * E)) ** 2 * params.c_sigma
-        assert spacing == pytest.approx(HBAR * math.sqrt(curvature / m_eff),
-                                        rel=1e-6, abs=0.0)
-        assert spacing > 0.0
-
-    def test_rejects_non_minimum(self):
-        # A landscape whose claimed minimum sits at a potential maximum of a
-        # different parameter set exercises the curvature guard.
-        params = landscape_params(0.1e9 * H, e_josephson=25e9 * H)
-        fake = PotentialLandscape(phi_grid=np.array([math.pi - 0.1, math.pi + 0.1]),
-                                  u_values=np.zeros(2),
-                                  minima=((math.pi, 0.0),), barrier_heights=())
-        with pytest.raises(ValueError, match="not a potential minimum"):
-            harmonic_level_spacing(fake, params, 0)
-
-    def test_rejects_out_of_range_index(self):
-        params = fig3_params()
-        landscape = potential_landscape(params, (-1.0, 1.0), 101)
-        with pytest.raises(ValueError, match="out of range"):
-            harmonic_level_spacing(landscape, params, 5)

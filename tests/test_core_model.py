@@ -29,14 +29,6 @@ def make_circuit_params(**overrides):
 
 
 class TestPhysicalConstants:
-    def test_flux_quantum_recomputed_exactly(self):
-        c = PhysicalConstants()
-        assert c.flux_quantum == c.h / (2.0 * c.e_charge)
-
-    def test_flux_to_phase(self):
-        c = CODATA2018
-        assert c.flux_to_phase == pytest.approx(2 * math.pi / 2.0678338484619295e-15)
-
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="invariant violated.*hbar"):
             PhysicalConstants(hbar=0.0)
@@ -45,15 +37,11 @@ class TestPhysicalConstants:
 
     def test_round_trip(self):
         c = PhysicalConstants()
-        again = PhysicalConstants.from_dict(json.loads(json.dumps(c.to_dict())))
+        again = PhysicalConstants(**json.loads(json.dumps(c.to_dict())))
         assert again == c
 
 
 class TestCircuitParams:
-    def test_e_charging_derived(self):
-        p = make_circuit_params()
-        assert p.e_charging == (2 * E) ** 2 / (2 * p.c_sigma)
-
     def test_derives_energy_from_inductance_and_back(self):
         p = make_circuit_params()
         phi_sq = (CODATA2018.hbar / (2 * E)) ** 2
@@ -110,7 +98,7 @@ class TestCircuitParams:
 
     def test_round_trip(self):
         p = make_circuit_params()
-        again = CircuitParams.from_dict(json.loads(json.dumps(p.to_dict())))
+        again = CircuitParams(**json.loads(json.dumps(p.to_dict())))
         assert again == p
 
 
@@ -204,7 +192,7 @@ class TestDriveWaveform:
 
     def test_round_trip(self):
         w = DriveWaveform.sampled([0.0, 0.3, 1.0], [0.2, 1.0, 0.2])
-        again = DriveWaveform.from_dict(json.loads(json.dumps(w.to_dict())))
+        again = DriveWaveform(**json.loads(json.dumps(w.to_dict())))
         assert again == w
 
 
@@ -227,18 +215,13 @@ class TestTrajectory:
     def test_round_trip(self):
         traj = Trajectory(times=[0.0, 1e-9, 2e-9], delta_phi=[0.0, 0.1, -0.3],
                           delta_phi_dot=[0.0, 1e9, -2e9])
-        again = Trajectory.from_dict(json.loads(json.dumps(traj.to_dict())))
+        again = Trajectory(**json.loads(json.dumps(traj.to_dict())))
         assert np.array_equal(again.times, traj.times)
         assert np.array_equal(again.delta_phi, traj.delta_phi)
         assert np.array_equal(again.delta_phi_dot, traj.delta_phi_dot)
 
 
 class TestSidebandSpectrum:
-    def test_energy_recomputed(self):
-        s = SidebandSpectrum(base_energy=1e-24, omega=2 * math.pi * 1e9,
-                             coefficients={0: 1.0 + 0j}, truncation_n=0)
-        assert s.energy_of(3) == 1e-24 + 3 * (CODATA2018.hbar * s.omega)
-
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="normalization"):
             SidebandSpectrum(base_energy=0.0, omega=1.0,
@@ -270,9 +253,13 @@ class TestSidebandSpectrum:
         s = SidebandSpectrum(base_energy=1e-25, omega=2 * math.pi * 1e6,
                              coefficients={-1: complex(r, 0), 1: complex(0, -r)},
                              truncation_n=1)
-        again = SidebandSpectrum.from_dict(json.loads(json.dumps(s.to_dict())))
-        assert again.coefficients == s.coefficients
-        assert again.base_energy == s.base_energy
+        # to_dict writes the output schema, so its keys are read back by name
+        data = json.loads(json.dumps(s.to_dict()))
+        again = SidebandSpectrum(
+            base_energy=data["base_energy_J"], omega=data["omega_rad_per_s"],
+            truncation_n=data["truncation_n"],
+            coefficients={e["n"]: complex(e["re"], e["im"]) for e in data["coefficients"]})
+        assert again == s
 
     def test_coefficients_are_a_read_only_mapping(self):
         r = 1 / math.sqrt(2.0)
@@ -321,7 +308,7 @@ class TestMassShell:
 
     def test_round_trip(self):
         s = MassShell(m0=5.972e24, m1=1e10, radius=6.371e6, omega=2 * math.pi * 1e-3)
-        assert MassShell.from_dict(json.loads(json.dumps(s.to_dict()))) == s
+        assert MassShell(**json.loads(json.dumps(s.to_dict()))) == s
 
 
 class TestTwoLevelAtom:
@@ -351,7 +338,7 @@ class TestTwoLevelAtom:
 
     def test_round_trip(self):
         atom = TwoLevelAtom.from_transition(9.4526e-26, 14.4e3 * E)
-        again = TwoLevelAtom.from_dict(json.loads(json.dumps(atom.to_dict())))
+        again = TwoLevelAtom(**json.loads(json.dumps(atom.to_dict())))
         assert again == atom
 
 
@@ -360,7 +347,7 @@ class TestTwoLevelAtom:
        radius=st.floats(1e-3, 1e12), omega=st.floats(1e-6, 1e12))
 def test_mass_shell_round_trip_is_identity(m0, frac, radius, omega):
     shell = MassShell(m0=m0, m1=frac * m0, radius=radius, omega=omega)
-    again = MassShell.from_dict(json.loads(json.dumps(shell.to_dict())))
+    again = MassShell(**json.loads(json.dumps(shell.to_dict())))
     assert again == shell  # bit-exact: json floats round-trip via repr
 
 
@@ -369,7 +356,7 @@ def test_mass_shell_round_trip_is_identity(m0, frac, radius, omega):
        phase0=st.floats(-math.pi, math.pi))
 def test_sinusoid_round_trip_is_identity(amplitude, omega, phase0):
     w = DriveWaveform.sinusoid(amplitude, omega, phase0)
-    again = DriveWaveform.from_dict(json.loads(json.dumps(w.to_dict())))
+    again = DriveWaveform(**json.loads(json.dumps(w.to_dict())))
     assert again == w
 
 
@@ -388,10 +375,11 @@ def test_sinusoid_round_trip_is_identity(amplitude, omega, phase0):
     PhaseHistory(times=[0.0, 1e-9, 3e-9], phase=[0.0, 0.7, -2.4]),
 ], ids=lambda value: type(value).__name__)
 def test_to_dict_lists_every_field_and_from_dict_inverts_it(value):
+    # each key is a field name, so the constructor is the inverse
     data = value.to_dict()
     assert list(data) == [f.name for f in dataclasses.fields(value)]
     text = json.dumps(data, sort_keys=True)
-    again = type(value).from_dict(json.loads(text))
+    again = type(value)(**json.loads(text))
     assert json.dumps(again.to_dict(), sort_keys=True) == text
 
 

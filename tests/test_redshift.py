@@ -1,5 +1,5 @@
-"""Shell potential, mass-energy bookkeeping, redshift, FM sideband spectra,
-and the charged-system cancellation check."""
+"""Shell potential, redshift, FM sideband spectra, and the charged-system
+cancellation check."""
 
 import json
 import math
@@ -12,8 +12,7 @@ from scalar_ab.ab_phase import PhaseHistory, accumulate_grav_phase
 from scalar_ab.core import CODATA2018, MassShell, SidebandSpectrum, TwoLevelAtom
 from scalar_ab.redshift import (TransitionSpectrum, exploding_shell_phase,
                                 exploding_shell_potential, ion_cancellation_check,
-                                modulation_indices, redshifted_frequency,
-                                rest_mass_in_potential, shell_potential, sideband_record,
+                                modulation_indices, redshifted_frequency, sideband_record,
                                 transition_sideband_spectrum)
 from scalar_ab.spectral import fm_spectrum_via_fft, required_truncation
 
@@ -39,28 +38,6 @@ def earth_shell(m1=0.0, omega=2 * math.pi * 1e-3):
 
 
 class TestShellPotential:
-    def test_empty_shell_is_zero(self):
-        shell = MassShell(m0=0.0, m1=0.0, radius=1.0, omega=1.0)
-        assert shell_potential(shell, 0.3) == 0.0
-
-    def test_earth_preset_value(self):
-        assert shell_potential(earth_shell(), 0.0) == pytest.approx(
-            EARTH_POTENTIAL, rel=1e-12, abs=0.0)
-        assert shell_potential(earth_shell(), 0.0) == pytest.approx(-6.26e7, rel=1e-3, abs=0.0)
-
-    def test_half_period_flips_ac_sign(self):
-        shell = earth_shell(m1=1e20)
-        t_half = math.pi / shell.omega
-        expected = -G * (shell.m0 - shell.m1) / shell.radius
-        assert shell_potential(shell, t_half) == pytest.approx(expected, rel=1e-9, abs=0.0)
-
-    def test_vectorized_over_time(self):
-        shell = earth_shell(m1=1e20)
-        t = np.linspace(0.0, 1e3, 64)
-        values = shell_potential(shell, t)
-        assert values.shape == t.shape
-        assert np.all(values < 0.0)
-
     def test_exploding_shell_samples(self):
         grid = np.linspace(0.0, 10.0, 11)
         samples = exploding_shell_potential(2.8e30, lambda t: 7e8 + 1e7 * t, grid)
@@ -68,27 +45,6 @@ class TestShellPotential:
         assert samples[-1][1] > samples[0][1]  # shallower as the shell expands
         history = accumulate_grav_phase([(0.0, 1e-25), (10.0, 1e-25)], samples, grid)
         assert history.phase[-1] < 0.0
-
-
-class TestRestMassInPotential:
-    def test_zero_potential_is_einstein_relation(self):
-        assert rest_mass_in_potential(9e16, 0.0) == 9e16 / C ** 2
-
-    def test_negative_potential_rescales_like_redshift(self):
-        # Same 1/(1 - Phi/c^2) factor as the frequency map: a negative
-        # potential divides the zero-potential mass by 1 + |Phi|/c^2.
-        base = rest_mass_in_potential(9e16, 0.0)
-        inside = rest_mass_in_potential(9e16, EARTH_POTENTIAL)
-        assert inside == pytest.approx(base / (1.0 - EARTH_POTENTIAL / C ** 2),
-                                       rel=1e-15, abs=0.0)
-        assert inside != base
-
-    def test_zero_energy_zero_mass(self):
-        assert rest_mass_in_potential(0.0, EARTH_POTENTIAL) == 0.0
-
-    def test_rejects_relativistic_potential(self):
-        with pytest.raises(ValueError, match="weak-potential"):
-            rest_mass_in_potential(1.0, -C ** 2)
 
 
 class TestRedshiftedFrequency:

@@ -308,9 +308,12 @@ class TestFloquetDecompose:
         decomp = floquet_decompose(potential, base_energy=1e-24)
         assert decomp == floquet_decompose(potential, base_energy=1e-24)
         assert decomp != floquet_decompose(potential, base_energy=2e-24)
-        as_sidebands = decomp.as_sideband_spectrum()
-        assert as_sidebands.coefficients == decomp.coefficients
-        assert as_sidebands.to_dict()["coefficients"] == decomp.to_dict()["coefficients"]
+        # a spectrum rebuilt from a plain dict of the coefficients stores them equal
+        rebuilt = SidebandSpectrum(base_energy=decomp.quasi_energy, omega=decomp.omega,
+                                   coefficients=dict(decomp.coefficients),
+                                   truncation_n=decomp.truncation_n)
+        assert rebuilt.coefficients == decomp.coefficients
+        assert rebuilt.to_dict()["coefficients"] == decomp.to_dict()["coefficients"]
 
     def test_constant_potential_is_pure_energy_shift(self):
         u0 = 3.7e-25
@@ -343,6 +346,20 @@ class TestFloquetDecompose:
         for n in range(-320, 321):
             assert decomp.amplitude(n) == pytest.approx(oracle.amplitude(n),
                                                         abs=1e-8)
+
+    def test_truncation_cap_is_fixed_and_named(self):
+        # a kinked phase never meets the default residual_tol, so both the
+        # automatic and the explicit path end at the cap
+        t = np.linspace(0.0, 1e-6, 513)
+        values = np.where(t < 0.5e-6, 1.0, -1.0) * 0.6 * HBAR * 2 * math.pi / 1e-6
+        values[-1] = values[0]
+        potential = DriveWaveform.sampled(t, values)
+        with pytest.raises(ValueError, match="at the truncation cap 4096"):
+            floquet_decompose(potential, 0.0)
+        with pytest.raises(ValueError, match="unreachable within the truncation cap 4096"):
+            floquet_decompose(potential, 0.0, truncation_n=320)
+        with pytest.raises(TypeError, match="n_max_cap"):
+            floquet_decompose(potential, 0.0, n_max_cap=8192)
 
     def test_explicit_truncation_too_small_names_requirement(self):
         potential = DriveWaveform.sinusoid(6.0 * HBAR * self.OMEGA, self.OMEGA)
@@ -419,6 +436,11 @@ class TestFmSpectrumViaFft:
 
         for n in range(-15, 16):
             assert s.amplitude(n) == pytest.approx(convolution(n), abs=1e-10)
+
+    def test_rejects_a_single_sample(self):
+        # one sample has no step to take the grid spacing from
+        with pytest.raises(ValueError, match="needs >= 2 samples"):
+            fm_spectrum_via_fft(PhaseHistory(times=[0.0], phase=[0.0]), self.OMEGA, 0)
 
     def test_rejects_nonuniform_grid(self):
         t = np.linspace(0.0, 2 * math.pi / self.OMEGA, 4097)
