@@ -15,7 +15,7 @@ from scipy.integrate import ode
 from scipy.optimize import brentq
 
 from scalar_ab import circuit
-from scalar_ab.circuit import (DriveEnvelope, IntegrationError,
+from scalar_ab.circuit import (DriveEnvelope, EomParams, IntegrationError,
                                PotentialLandscape, StepControl, build_eom,
                                integrate_trajectory, potential_landscape,
                                specific_energy)
@@ -58,6 +58,17 @@ class TestBuildEom:
         eom = build_eom(fig3_params(), drive)
         assert eom.small_oscillation_frequency == pytest.approx(
             2 * math.pi * 8.5e9, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("omega_c", math.inf, "omega_c must be finite and non-negative"),
+        ("nonlinear_coeff", math.nan, "nonlinear_coeff must be finite and non-negative"),
+        ("drive_coeff", -1.0, "drive_coeff must be finite and non-negative"),
+        ("drive_omega", math.inf, "drive_omega must be finite and non-negative"),
+        ("drive_amplitude", math.nan, "drive_amplitude must be finite")])
+    def test_eom_params_reject_a_bad_coefficient(self, name, value, message):
+        fields = dict(omega_c=1e10, nonlinear_coeff=2e21, drive_coeff=1e19)
+        with pytest.raises(ValueError, match=message):
+            EomParams(**(fields | {name: value}))
 
     def test_zero_amplitude_drive_drops_out(self):
         drive = DriveWaveform.sinusoid(0.0, OMEGA_DRIVE)
@@ -127,10 +138,17 @@ class TestStepControl:
 
     @pytest.mark.parametrize("kwargs", [
         {"rel_tol": 0.0}, {"rel_tol": -1e-10}, {"rel_tol": math.nan},
-        {"abs_tol": 0.0}, {"abs_tol": math.nan},
+        {"abs_tol": 0.0}, {"abs_tol": math.nan}])
+    def test_rejects_a_non_positive_tolerance(self, kwargs):
+        with pytest.raises(ValueError,
+                           match="StepControl tolerances must be positive and finite"):
+            StepControl(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"rel_tol": math.inf}, {"abs_tol": math.inf},
+        {"rel_tol": math.inf, "abs_tol": math.inf}])
+    def test_rejects_a_non_finite_tolerance(self, kwargs):
         # with an infinite tolerance every step passes, and the trajectory is wrong
-        {"rel_tol": math.inf}, {"abs_tol": math.inf}])
-    def test_rejects_a_non_positive_or_non_finite_tolerance(self, kwargs):
         with pytest.raises(ValueError,
                            match="StepControl tolerances must be positive and finite"):
             StepControl(**kwargs)
@@ -535,3 +553,42 @@ class TestPotentialLandscape:
         with pytest.raises(ValueError, match="phi_range"):
             potential_landscape(fig3_params(), (1.0, -1.0), 100)
 
+
+class TestHarmonicLevelSpacing:
+    """The harmonic level spacing hbar*sqrt(U''(0)/m_eff) of the central well,
+    m_eff = (hbar/2e)^2 * C_sigma, is hbar times the EOM's linearized
+    resonance; fig3's elements have C' = C_sigma, so the two agree."""
+
+    def test_lc_limit_equals_hbar_omega_c(self):
+        params = fig3_params(e_josephson=0.0)
+        landscape = potential_landscape(params, (-1.0, 1.0), 201)
+        eom = build_eom(params, None)
+        assert [phi for phi, _ in landscape.minima] == [pytest.approx(0.0, abs=1e-12)]
+        assert HBAR * eom.small_oscillation_frequency == pytest.approx(
+            HBAR * eom.omega_c, rel=1e-15, abs=0.0)
+
+    def test_central_well_matches_finite_difference(self):
+        params = landscape_params(1e9 * H, e_josephson=25e9 * H)
+        landscape = potential_landscape(params, (-4 * math.pi, 4 * math.pi), 4001)
+        phi_star = landscape.minima[len(landscape.minima) // 2][0]
+        assert phi_star == pytest.approx(0.0, abs=1e-12)
+
+        # independent second derivative by central finite differences
+        quad = (HBAR / (2 * E)) ** 2 / (2 * params.inductance)
+
+        def u(phi):
+            return quad * phi ** 2 - params.e_josephson * math.cos(phi)
+
+        h = 1e-5
+        curvature = (u(phi_star + h) - 2 * u(phi_star) + u(phi_star - h)) / h ** 2
+        m_eff = (HBAR / (2 * E)) ** 2 * params.c_sigma
+        spacing = HBAR * build_eom(params, None).small_oscillation_frequency
+        assert spacing == pytest.approx(HBAR * math.sqrt(curvature / m_eff),
+                                        rel=1e-6, abs=0.0)
+        assert spacing > 0.0
+
+    def test_rejects_non_minimum(self):
+        # A negative nonlinear coefficient stronger than omega_c^2 would make
+        # phi = 0 a potential maximum, where the linearization has no spacing.
+        with pytest.raises(ValueError, match="nonlinear_coeff must be finite and non-negative"):
+            EomParams(omega_c=1e10, nonlinear_coeff=-2e20, drive_coeff=0.0)

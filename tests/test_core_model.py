@@ -11,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scalar_ab.ab_phase import PhaseHistory
-from scalar_ab.circuit import EomParams, PotentialLandscape
+from scalar_ab.circuit import EomParams, PotentialLandscape, build_eom
 from scalar_ab.core import (CODATA2018, C_LIGHT, CircuitParams, DriveWaveform,
                             MassShell, PhysicalConstants, SidebandSpectrum,
                             Trajectory, TwoLevelAtom, _strictly_increasing)
+from scalar_ab.spectral import quasi_energy_ladder
 
 H = CODATA2018.h
 E = CODATA2018.e_charge
@@ -29,6 +30,19 @@ def make_circuit_params(**overrides):
 
 
 class TestPhysicalConstants:
+    def test_flux_quantum_recomputed_exactly(self):
+        # the defaults reproduce CODATA 2018's exact flux quantum h/2e
+        c = PhysicalConstants()
+        assert c.h / (2.0 * c.e_charge) == 2.0678338484619295e-15
+
+    def test_flux_to_phase(self):
+        # build_eom converts flux to phase with 2e/hbar = 2*pi/Phi_0; CODATA's
+        # hbar has 10 digits, so the squared factors differ by 1.2e-9
+        p = make_circuit_params()
+        flux_to_phase = 2 * math.pi / 2.0678338484619295e-15
+        assert build_eom(p, None).nonlinear_coeff == pytest.approx(
+            flux_to_phase ** 2 * p.e_josephson / p.c_sigma, rel=2e-9, abs=0.0)
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="invariant violated.*hbar"):
             PhysicalConstants(hbar=0.0)
@@ -42,6 +56,14 @@ class TestPhysicalConstants:
 
 
 class TestCircuitParams:
+    def test_e_charging_derived(self):
+        # (2e/hbar)^2 * E_J / C_sigma is 2 * E_C * E_J / hbar^2 with the
+        # Cooper-pair charging energy E_C = (2e)^2 / (2 * C_sigma)
+        p = make_circuit_params()
+        e_charging = (2 * E) ** 2 / (2 * p.c_sigma)
+        assert build_eom(p, None).nonlinear_coeff == pytest.approx(
+            2 * e_charging * p.e_josephson / CODATA2018.hbar ** 2, rel=1e-15, abs=0.0)
+
     def test_derives_energy_from_inductance_and_back(self):
         p = make_circuit_params()
         phi_sq = (CODATA2018.hbar / (2 * E)) ** 2
@@ -222,6 +244,13 @@ class TestTrajectory:
 
 
 class TestSidebandSpectrum:
+    def test_energy_recomputed(self):
+        # the level of sideband n is E + n*hbar*omega, from quasi_energy_ladder
+        s = SidebandSpectrum(base_energy=1e-24, omega=2 * math.pi * 1e9,
+                             coefficients={0: 1.0 + 0j}, truncation_n=0)
+        assert quasi_energy_ladder(s.base_energy, s.omega, (3, 3)) == [
+            (3, 1e-24 + 3 * (CODATA2018.hbar * s.omega))]
+
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="normalization"):
             SidebandSpectrum(base_energy=0.0, omega=1.0,

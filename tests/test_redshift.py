@@ -1,5 +1,5 @@
-"""Shell potential, redshift, FM sideband spectra, and the charged-system
-cancellation check."""
+"""Shell potential, mass-energy bookkeeping, redshift, FM sideband spectra,
+and the charged-system cancellation check."""
 
 import json
 import math
@@ -38,6 +38,38 @@ def earth_shell(m1=0.0, omega=2 * math.pi * 1e-3):
 
 
 class TestShellPotential:
+    def test_empty_shell_is_zero(self):
+        assert exploding_shell_potential(0.0, lambda t: 1.0, [0.3]) == [(0.3, 0.0)]
+
+    def test_earth_preset_value(self):
+        [(_, potential)] = exploding_shell_potential(EARTH_MASS, lambda t: EARTH_RADIUS, [0.0])
+        assert potential == pytest.approx(EARTH_POTENTIAL, rel=1e-12, abs=0.0)
+        assert potential == pytest.approx(-6.26e7, rel=1e-3, abs=0.0)
+
+    def test_half_period_flips_ac_sign(self):
+        # The interior potential depends on M/r only, so a radius of
+        # r0 / (1 + (m1/m0)*cos(omega*t)) gives the mass-modulated shell's
+        # -G*(m0 + m1*cos(omega*t))/r0.
+        shell = earth_shell(m1=1e20)
+        t_half = math.pi / shell.omega
+        samples = exploding_shell_potential(
+            shell.m0, lambda t: shell.radius / (1 + shell.m1 / shell.m0 * math.cos(shell.omega * t)),
+            [0.0, t_half])
+        assert samples[0][1] == pytest.approx(-G * (shell.m0 + shell.m1) / shell.radius,
+                                              rel=1e-9, abs=0.0)
+        assert samples[1][1] == pytest.approx(-G * (shell.m0 - shell.m1) / shell.radius,
+                                              rel=1e-9, abs=0.0)
+
+    def test_vectorized_over_time(self):
+        t = np.linspace(0.0, 1e3, 64)
+        samples = exploding_shell_potential(EARTH_MASS, lambda t: EARTH_RADIUS + t, t)
+        assert [time for time, _ in samples] == t.tolist()
+        assert all(potential < 0.0 for _, potential in samples)
+
+    def test_rejects_a_negative_mass(self):
+        with pytest.raises(ValueError, match="mass must be non-negative"):
+            exploding_shell_potential(-1.0, lambda t: 1.0, [0.0])
+
     def test_exploding_shell_samples(self):
         grid = np.linspace(0.0, 10.0, 11)
         samples = exploding_shell_potential(2.8e30, lambda t: 7e8 + 1e7 * t, grid)
@@ -47,7 +79,39 @@ class TestShellPotential:
         assert history.phase[-1] < 0.0
 
 
+class TestRestMassInPotential:
+    """Mass-energy bookkeeping of a transition inside a potential: the rest
+    mass difference is E/c^2, and a potential rescales its energy, and so
+    its line, by 1/(1 - Phi/c^2)."""
+
+    def test_zero_potential_is_einstein_relation(self):
+        assert TwoLevelAtom(rest_mass_i=1.0, transition_energy=9e16).delta_m == 9e16 / C ** 2
+
+    def test_negative_potential_rescales_like_redshift(self):
+        # the carrier is the transition's E/h divided by 1 + |Phi|/c^2
+        atom = TwoLevelAtom(rest_mass_i=1e-25, transition_energy=14.4e3 * E)
+        base = atom.transition_energy / H
+        inside = transition_sideband_spectrum(atom, earth_shell(),
+                                              required_truncation(0.0)).carrier_frequency
+        assert inside == pytest.approx(base / (1.0 - EARTH_POTENTIAL / C ** 2),
+                                       rel=1e-15, abs=0.0)
+        assert inside != base
+
+    def test_zero_energy_zero_mass(self):
+        # no transition energy carries no mass difference and no line to shift
+        assert redshifted_frequency(0.0, EARTH_POTENTIAL) == 0.0
+
+    def test_rejects_relativistic_potential(self):
+        with pytest.raises(ValueError, match="weak-potential"):
+            redshifted_frequency(1.0, -C ** 2)
+
+
 class TestRedshiftedFrequency:
+    @pytest.mark.parametrize("potential", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_potential(self, potential):
+        with pytest.raises(ValueError, match="weak-potential"):
+            redshifted_frequency(1e15, potential)
+
     def test_zero_potential_is_identity(self):
         assert redshifted_frequency(1e15, 0.0) == 1e15
 
