@@ -17,8 +17,8 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "core": ("CODATA2018", "PhysicalConstants", "CircuitParams", "DriveWaveform",
-             "Trajectory", "SidebandSpectrum", "MassShell", "TwoLevelAtom"),
+    "core": ("CircuitParams", "DriveWaveform", "Trajectory", "SidebandSpectrum", "MassShell",
+             "TwoLevelAtom"),
     "ab_phase": ("PhaseHistory", "Species", "SpeciesCount", "accumulate_electric_phase",
                  "accumulate_grav_phase", "net_bulk_phase", "write_phase_csv"),
     "circuit": ("EomParams", "DriveEnvelope", "StepControl", "PotentialLandscape",

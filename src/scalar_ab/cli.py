@@ -198,7 +198,7 @@ _CIRCUIT_DYNAMICS_KEYS = {
     "t_end_ns": KeySpec("number", "integration end time, nanoseconds", required=True, positive=True),
     "n_samples": _N_SAMPLES,
     "drive_t_on_ns": KeySpec("number", "drive-on time, nanoseconds", default=0.0),
-    "drive_t_off_ns": KeySpec("number", "drive-off time, nanoseconds (null = never)"),
+    "drive_t_off_ns": KeySpec("number", "drive-off time, nanoseconds (not given = never)"),
     "drive_switch": KeySpec("string", "switching profile", default="ramp", choices=("ramp", "instant")),
     "ramp_periods": KeySpec("number", "ramp length in drive periods", default=5.0),
     "initial_phi_rad": KeySpec("number", "initial phase difference, radians", default=0.0),
@@ -430,10 +430,6 @@ EXPERIMENTS: dict[str, Experiment] = {
         write=_write_phase, summary=_phase_summary, aliases=_DRIVE_ALIASES),
 }
 
-# Each experiment's keys and misspellings, by name.
-SCHEMAS = {name: entry.keys for name, entry in EXPERIMENTS.items()}
-ALIASES = {name: entry.aliases for name, entry in EXPERIMENTS.items()}
-
 PRESETS: dict[str, dict[str, Any]] = {
     # Instantaneous switch-off keeps a visible free oscillation after the
     # drive window; a slow ramp would shut it down adiabatically.
@@ -554,7 +550,8 @@ def parse_config(text: str | Mapping[str, Any]) -> ExperimentConfig:
     key, the expected unit, the required keys or a value type's message."""
     data = _read_object(text) if isinstance(text, str) else text
     if not data:
-        required = sorted(k for k, s in SCHEMAS["CircuitDynamics"].items() if s.required)
+        required = sorted(k for k, s in EXPERIMENTS["CircuitDynamics"].keys.items()
+                          if s.required)
         raise ConfigError(
             "empty config; required sections are 'experiment' and 'parameters' "
             f"(e.g. for CircuitDynamics the required parameter keys are {required})")
@@ -619,32 +616,35 @@ def run_experiment(config: ExperimentConfig) -> int:
 
 def _load_config(target: str | None, config_path: str | None,
                  out: str | None, fmt: str | None) -> ExperimentConfig:
-    """The config a command line names: the preset or experiment ``target``
-    with the document at ``config_path`` laid over it, then ``out`` and
-    ``fmt``."""
+    """The config a command line names: the document at ``config_path``
+    (none: an empty one) run as the experiment ``target``, or as a preset
+    target's experiment with ``parameters.preset`` set to it, and ``out``
+    and ``fmt`` as its output path and format.  :func:`parse_config` lays
+    the preset under the document's parameters."""
     if target is not None and target not in PRESETS and target not in EXPERIMENTS:
         raise ConfigError(
             f"unknown experiment or preset '{target}'; experiments: "
             f"{list(EXPERIMENTS)}; presets: {sorted(PRESETS)}")
-    base = json.loads(json.dumps(PRESETS.get(target, {})))  # deep copy
-    asked = base.get("experiment", target)
+    doc: dict[str, Any] = {}
     if config_path is not None:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            overlay = _read_object(fh.read())
-        declared = overlay.get("experiment", asked)
-        if asked is not None and declared != asked:
-            by = f"preset '{target}' runs" if base else "the command line requested"
-            raise ConfigError(f"config declares experiment {declared!r} but {by} {asked!r}")
-        if base:
-            overlay["parameters"] = {**base["parameters"], **_section(overlay, "parameters")}
-        base.update(overlay)
-    if asked is not None:
-        base["experiment"] = asked
-    if out is not None:
-        base.setdefault("output", {})["path"] = out
-    if fmt is not None:
-        base.setdefault("output", {})["format"] = fmt
-    return parse_config(base)
+        try:
+            with open(config_path, "r", encoding="utf-8") as fh:
+                doc = _read_object(fh.read())
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config {config_path!r} is not UTF-8 text: {exc}") from exc
+    asked = PRESETS[target]["experiment"] if target in PRESETS else target
+    if asked is not None and doc.setdefault("experiment", asked) != asked:
+        by = f"preset '{target}' runs" if target in PRESETS else "the command line requested"
+        raise ConfigError(f"config declares experiment {doc['experiment']!r} but {by} {asked!r}")
+    if target in PRESETS:
+        doc["parameters"] = {"preset": target, **_section(doc, "parameters")}
+    if out is not None or fmt is not None:
+        output = doc["output"] = dict(_section(doc, "output"))
+        if out is not None:
+            output["path"] = out
+        if fmt is not None:
+            output["format"] = fmt
+    return parse_config(doc)
 
 
 def build_parser() -> argparse.ArgumentParser:

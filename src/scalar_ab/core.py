@@ -1,5 +1,5 @@
-"""Shared data model: physical constants and the immutable value types used
-by every simulation module.
+"""Shared data model: the physical constants (CODATA 2018, SI) and the
+immutable value types used by every simulation module.
 
 All quantities are stored in SI units (seconds, volts, joules, kilograms,
 farads, henries, rad/s).  Unit conversion from experimenter-friendly inputs
@@ -20,8 +20,6 @@ from typing import Any, Iterable, Mapping, Sequence
 import numpy as np
 
 __all__ = [
-    "PhysicalConstants",
-    "CODATA2018",
     "CircuitParams",
     "DriveWaveform",
     "Trajectory",
@@ -83,30 +81,12 @@ class _FieldDict:
         return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
 
 
-@dataclass(frozen=True)
-class PhysicalConstants(_FieldDict):
-    """Fundamental constants (CODATA 2018 defaults), SI units."""
-
-    hbar: float = 1.054571817e-34    # J*s
-    h: float = 6.62607015e-34        # J*s
-    e_charge: float = 1.602176634e-19  # C
-    c_light: float = 299792458.0     # m/s
-    g_newton: float = 6.67430e-11    # m^3/(kg*s^2)
-
-    def __post_init__(self) -> None:
-        for name in ("hbar", "h", "e_charge", "c_light", "g_newton"):
-            _require(getattr(self, name) > 0.0,
-                     f"PhysicalConstants.{name} must be strictly positive")
-
-
-CODATA2018 = PhysicalConstants()
-
-# Module-level shorthands; the physics modules read these.
-HBAR = CODATA2018.hbar
-PLANCK_H = CODATA2018.h
-E_CHARGE = CODATA2018.e_charge
-C_LIGHT = CODATA2018.c_light
-G_NEWTON = CODATA2018.g_newton
+# CODATA 2018 values; the physics modules read these.
+HBAR = 1.054571817e-34      # J*s
+PLANCK_H = 6.62607015e-34   # J*s
+E_CHARGE = 1.602176634e-19  # C
+C_LIGHT = 299792458.0       # m/s
+G_NEWTON = 6.67430e-11      # m^3/(kg*s^2)
 
 
 @dataclass(frozen=True)
@@ -368,12 +348,18 @@ class _Coefficients(Mapping):
                 for n, re, im in zip(self.n.tolist(), self.c.real.tolist(), self.c.imag.tolist())]
 
 
-def _check_norm(owner: str, term: str, values: np.ndarray, tol: float, bound: str) -> None:
+# A spectrum's sum |c_n|^2 is 1 within this; FloquetDecomposition loosens
+# it to its residual_tol^2 when that is larger.
+_NORM_TOL = 1e-9
+
+
+def _check_norm(owner: str, values: np.ndarray, tol: float = _NORM_TOL,
+                bound: str = "1e-9") -> None:
     """Require sum |values|^2 within tol of 1; ``bound`` names tol in the
     message through ``{tol}`` fields, formatted only on failure."""
     total = float(np.sum(np.abs(values) ** 2))
     if not abs(total - 1.0) <= tol:
-        raise ValueError(f"invariant violated: {owner} normalization sum {term} = "
+        raise ValueError(f"invariant violated: {owner} normalization sum |c_n|^2 = "
                          f"{total!r} differs from 1 by more than {bound.format(tol=tol)}")
 
 
@@ -384,7 +370,7 @@ class SidebandSpectrum:
     The energy of entry n is ``base_energy + n*hbar*omega``, never stored;
     :func:`scalar_ab.spectral.quasi_energy_ladder` computes it.  Construction
     enforces the wavefunction normalization sum |c_n|^2 = 1 within
-    ``norm_tol``.  ``coefficients`` may be given as any mapping and is
+    1e-9.  ``coefficients`` may be given as any mapping and is
     stored as a read-only mapping over arrays, keys ascending.
     """
 
@@ -392,7 +378,6 @@ class SidebandSpectrum:
     omega: float                           # rad/s
     coefficients: Mapping[int, complex]    # n -> c_n
     truncation_n: int
-    norm_tol: float = 1e-9
 
     def __post_init__(self) -> None:
         coeffs = _Coefficients.of(self.coefficients)
@@ -401,8 +386,7 @@ class SidebandSpectrum:
         _require(self.truncation_n >= 0, "SidebandSpectrum.truncation_n must be >= 0")
         _require(coeffs.max_abs_n() <= self.truncation_n,
                  "SidebandSpectrum coefficients must lie within |n| <= truncation_n")
-        _check_norm("SidebandSpectrum", "|c_n|^2", coeffs.c, self.norm_tol,
-                    "norm_tol={tol:g}")
+        _check_norm("SidebandSpectrum", coeffs.c)
 
     def amplitude(self, n: int) -> complex:
         return self.coefficients.get(n, 0.0 + 0.0j)

@@ -24,7 +24,8 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from .core import HBAR, DriveWaveform, SidebandSpectrum, _check_norm, _Coefficients, _require
+from .core import (_NORM_TOL, HBAR, DriveWaveform, SidebandSpectrum, _check_norm,
+                   _Coefficients, _require)
 
 if TYPE_CHECKING:
     from .ab_phase import PhaseHistory
@@ -199,9 +200,9 @@ def default_truncation(alpha: float) -> int:
 
 
 def jacobi_anger_coeffs(alpha: float, truncation_n: int, *,
-                        base_energy: float = 0.0,
                         omega: float = 1.0) -> SidebandSpectrum:
-    """Sideband spectrum of exp(-i*alpha*sin(omega*t)): coefficients J_n(alpha).
+    """Sideband spectrum of exp(-i*alpha*sin(omega*t)): coefficients J_n(alpha),
+    on a ladder with base energy 0.
 
     ``truncation_n`` must be at least :func:`required_truncation` (dominant
     sidebands plus a normalization-safe margin); too-small truncations are
@@ -221,7 +222,7 @@ def jacobi_anger_coeffs(alpha: float, truncation_n: int, *,
     neg, pos = (row, flipped) if alpha < 0.0 else (flipped, row)
     values = np.concatenate((neg[:0:-1], pos)).astype(complex)
     ns = np.arange(-truncation_n, truncation_n + 1)
-    return SidebandSpectrum(base_energy=base_energy, omega=omega,
+    return SidebandSpectrum(base_energy=0.0, omega=omega,
                             coefficients=_Coefficients(ns, values),
                             truncation_n=truncation_n)
 
@@ -260,9 +261,9 @@ class FloquetDecomposition:
         _require(self.omega > 0.0, "FloquetDecomposition.omega must be positive")
         # Parseval on the analysis grid: 1 - sum |c_n|^2 <= residual^2, so a
         # residual_tol looser than ~3e-5 loosens the norm bound with it.
-        norm_tol = max(1e-9, self.residual_tol ** 2)
-        _check_norm("FloquetDecomposition", "|c_n|^2", coeffs.c, norm_tol,
-                    "1e-9" if norm_tol == 1e-9 else "residual_tol^2={tol:g}")
+        norm_tol = max(_NORM_TOL, self.residual_tol ** 2)
+        _check_norm("FloquetDecomposition", coeffs.c, norm_tol,
+                    "1e-9" if norm_tol == _NORM_TOL else "residual_tol^2={tol:g}")
         _require(self.residual <= self.residual_tol,
                  f"FloquetDecomposition residual {self.residual:.3g} exceeds "
                  f"residual_tol {self.residual_tol:.3g}")
@@ -380,9 +381,9 @@ def _minimum_truncation(potential: DriveWaveform, residual_tol: float) -> int | 
 
 
 def fm_spectrum_via_fft(phase_history: PhaseHistory, omega: float,
-                        truncation_n: int, *,
-                        base_energy: float = 0.0) -> SidebandSpectrum:
-    """Brute-force sideband oracle: DFT of exp(-i*phi(t)).
+                        truncation_n: int) -> SidebandSpectrum:
+    """Brute-force sideband oracle: DFT of exp(-i*phi(t)), on a ladder with
+    base energy 0.
 
     The phase history must cover an integer number of periods 2*pi/omega on
     a uniform grid (inclusive of both endpoints) with at least
@@ -414,6 +415,6 @@ def fm_spectrum_via_fft(phase_history: PhaseHistory, omega: float,
     u = np.exp(-1j * phase_history.phase[:m])
     spectrum = np.fft.fft(u) / m
     ns = np.arange(-truncation_n, truncation_n + 1)
-    return SidebandSpectrum(base_energy=base_energy, omega=omega,
+    return SidebandSpectrum(base_energy=0.0, omega=omega,
                             coefficients=_Coefficients(ns, spectrum[(-ns * p) % m]),
                             truncation_n=truncation_n)

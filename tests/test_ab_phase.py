@@ -14,11 +14,9 @@ import scalar_ab
 from scalar_ab.ab_phase import (PhaseHistory, Species, SpeciesCount,
                                 _merged_nodes, accumulate_electric_phase,
                                 accumulate_grav_phase, net_bulk_phase)
-from scalar_ab.core import CODATA2018, DriveWaveform
+from scalar_ab.core import E_CHARGE, G_NEWTON, HBAR, DriveWaveform
 
-HBAR = CODATA2018.hbar
-E = CODATA2018.e_charge
-G = CODATA2018.g_newton
+E, G = E_CHARGE, G_NEWTON
 
 # fig3-preset drive: V0 = 1 uV at 150 MHz; the Cooper-pair modulation
 # depth 2*e*V0/(hbar*omega) evaluates to 3.2239856... (dimensionless).

@@ -16,18 +16,14 @@ from scalar_ab.ab_phase import PhaseHistory
 from scalar_ab.circuit import (StepControl, build_eom, integrate_trajectory,
                                potential_landscape, specific_energy)
 from scalar_ab.cli import PRESETS, parse_config, run_experiment
-from scalar_ab.core import (CODATA2018, CircuitParams, DriveWaveform,
-                            MassShell, TwoLevelAtom)
+from scalar_ab.core import (C_LIGHT, E_CHARGE, G_NEWTON, HBAR, PLANCK_H, CircuitParams,
+                            DriveWaveform, MassShell, TwoLevelAtom)
 from scalar_ab.redshift import (ion_cancellation_check, modulation_indices,
                                 transition_sideband_spectrum)
 from scalar_ab.spectral import (floquet_decompose, fm_spectrum_via_fft,
                                 jacobi_anger_coeffs, quasi_energy_ladder)
 
-HBAR = CODATA2018.hbar
-H = CODATA2018.h
-E = CODATA2018.e_charge
-C = CODATA2018.c_light
-G = CODATA2018.g_newton
+H, E, C, G = PLANCK_H, E_CHARGE, C_LIGHT, G_NEWTON
 
 FIG3_ELEMENTS = dict(c_sphere=5.6e-12, c_sigma=5.576481251856608e-14,
                      c_gate=1e-15, c_prime=5.576481251856608e-14,

@@ -19,11 +19,9 @@ from scalar_ab.circuit import (DriveEnvelope, EomParams, IntegrationError,
                                PotentialLandscape, StepControl, build_eom,
                                integrate_trajectory, potential_landscape,
                                specific_energy)
-from scalar_ab.core import CODATA2018, CircuitParams, DriveWaveform
+from scalar_ab.core import E_CHARGE, HBAR, PLANCK_H, CircuitParams, DriveWaveform
 
-HBAR = CODATA2018.hbar
-H = CODATA2018.h
-E = CODATA2018.e_charge
+H, E = PLANCK_H, E_CHARGE
 
 # One consistent element choice reproducing an 8.5 GHz small-oscillation
 # frequency with E_J = 25 GHz*h and E_L = 1 GHz*h (C' = C_sigma).

@@ -17,7 +17,7 @@ import pytest
 import scalar_ab
 from scalar_ab import cli
 from scalar_ab.cli import (EXIT_CONFIG_ERROR, EXIT_DEPENDENCY_ERROR, EXIT_NUMERIC_FAILURE,
-                           EXIT_OK, PRESETS, SCHEMAS, ConfigError, main, parse_config,
+                           EXIT_OK, EXPERIMENTS, PRESETS, ConfigError, main, parse_config,
                            run_experiment)
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -31,6 +31,14 @@ def circuit_config(out_path, **overrides):
         "parameters": params,
         "output": {"path": str(out_path), "format": "csv"},
     }
+
+
+# For each preset: no overlay, a null on each of its keys and one changed value.
+PRESET_OVERLAYS = [
+    (name, overlay)
+    for name, changed in (("fig3", {"t_end_ns": 10.0}), ("fig4", {"n_points": 2001}),
+                          ("earth-shell", {"m1_kg": 2e10}), ("supernova-shell", {"t_end_s": 50.0}))
+    for overlay in ({}, *({key: None} for key in PRESETS[name]["parameters"]), changed)]
 
 
 class TestParseConfig:
@@ -67,7 +75,7 @@ class TestParseConfig:
             parse_config(json.dumps(
                 {"experiment": "CircuitDynamics", "parameters": {"zzzz": 1.0}}))
         suggestion = re.search(r"did you mean '([^']*)'\?$", str(info.value))
-        assert suggestion and suggestion[1] in SCHEMAS["CircuitDynamics"]
+        assert suggestion and suggestion[1] in EXPERIMENTS["CircuitDynamics"].keys
 
     def test_empty_document_lists_required_keys(self):
         with pytest.raises(ConfigError, match="required"):
@@ -259,14 +267,21 @@ class TestMainAndExitCodes:
         assert "volts" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, message", [
-        ("{bad", "config error: config is not well-formed JSON: "),
-        ("[1,2]", "config error: config document must be a JSON object\n")])
+        (b"{bad", "config error: config is not well-formed JSON: "),
+        (b"[1,2]", "config error: config document must be a JSON object\n"),
+        # these two used to end in a UnicodeDecodeError or a TypeError traceback
+        (b"\xff\xfe{}", r"config error: config '.*conf\.json' is not UTF-8 text: "),
+        (b'{"parameters": {"preset": "earth-shell"}, "experiment": "GravRedshift", '
+         b'"output": "x.json"}', "config error: 'output' must be a JSON object\n")])
     def test_unreadable_config_file_is_config_error(self, tmp_path, capsys, text, message):
         doc = tmp_path / "conf.json"
-        doc.write_text(text)
-        assert main(["--config", str(doc)]) == EXIT_CONFIG_ERROR
-        err = capsys.readouterr().err
-        assert err.startswith(message) and err.count("\n") == 1
+        doc.write_bytes(text)
+        out = str(tmp_path / "out.json")
+        for argv in (["--config", str(doc), "--out", out, "--format", "json"],
+                     ["--sweep", str(doc)]):
+            assert main(argv) == EXIT_CONFIG_ERROR
+            err = capsys.readouterr().err
+            assert re.match(message, err) and err.count("\n") == 1
 
     def test_numeric_failure_exit_code(self, tmp_path, capsys):
         # A kinked sampled waveform cannot meet the default residual target.
@@ -315,6 +330,21 @@ class TestMainAndExitCodes:
         out = tmp_path / "run.csv"
         assert main(["fig3", "--out", str(out)]) == EXIT_OK
         assert out.exists()
+
+    @pytest.mark.parametrize("name, overlay", PRESET_OVERLAYS,
+                             ids=[f"{n}-{json.dumps(o)}" for n, o in PRESET_OVERLAYS])
+    def test_preset_target_is_its_parameters_preset(self, tmp_path, capsys, name, overlay):
+        # fig3 with drive_t_off_ns null used to run with the drive never off,
+        # and a null on a required key used to drop the preset's value
+        spelled = {"experiment": PRESETS[name]["experiment"],
+                   "parameters": {"preset": name, **overlay}}
+        written = []
+        for i, (argv, doc) in enumerate((([name], {"parameters": overlay}), ([], spelled))):
+            conf, out = tmp_path / f"{i}.json", tmp_path / f"{i}.out"
+            conf.write_text(json.dumps(doc))
+            assert main([*argv, "--config", str(conf), "--out", str(out)]) == EXIT_OK
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
 
     def test_mismatched_experiment_rejected(self, tmp_path, capsys):
         doc = tmp_path / "conf.json"
@@ -714,16 +744,16 @@ def run_fresh(code, cwd, **env):
 
 # scalar_ab.__all__; the lazy table must keep it.
 PUBLIC_NAMES = {
-    "CODATA2018", "PhysicalConstants", "CircuitParams", "DriveWaveform", "Trajectory",
-    "SidebandSpectrum", "MassShell", "TwoLevelAtom", "PhaseHistory", "Species",
-    "SpeciesCount", "accumulate_electric_phase", "accumulate_grav_phase",
-    "net_bulk_phase", "write_phase_csv", "EomParams", "DriveEnvelope", "StepControl",
-    "PotentialLandscape", "IntegrationError", "build_eom", "integrate_trajectory",
-    "specific_energy", "potential_landscape", "FloquetDecomposition", "bessel_j",
-    "jacobi_anger_coeffs", "required_truncation", "quasi_energy_ladder",
-    "floquet_decompose", "fm_spectrum_via_fft", "ModulationIndices", "TransitionSpectrum",
-    "exploding_shell_potential", "redshifted_frequency", "modulation_indices",
-    "transition_sideband_spectrum", "ion_cancellation_check", "__version__",
+    "CircuitParams", "DriveWaveform", "Trajectory", "SidebandSpectrum", "MassShell",
+    "TwoLevelAtom", "PhaseHistory", "Species", "SpeciesCount", "accumulate_electric_phase",
+    "accumulate_grav_phase", "net_bulk_phase", "write_phase_csv", "EomParams",
+    "DriveEnvelope", "StepControl", "PotentialLandscape", "IntegrationError", "build_eom",
+    "integrate_trajectory", "specific_energy", "potential_landscape",
+    "FloquetDecomposition", "bessel_j", "jacobi_anger_coeffs", "required_truncation",
+    "quasi_energy_ladder", "floquet_decompose", "fm_spectrum_via_fft", "ModulationIndices",
+    "TransitionSpectrum", "exploding_shell_potential", "redshifted_frequency",
+    "modulation_indices", "transition_sideband_spectrum", "ion_cancellation_check",
+    "__version__",
 }
 
 # Prints the BLAS thread setting and, on Linux with two or more CPUs, the
@@ -761,7 +791,7 @@ assert names["bessel_j"] is scalar_ab.spectral.bessel_j
 print(json.dumps(scalar_ab.__all__))
 """
         public = json.loads(run_fresh(code, tmp_path))
-        assert len(public) == len(PUBLIC_NAMES) == 39
+        assert len(public) == len(PUBLIC_NAMES) == 37
         assert set(public) == PUBLIC_NAMES
         with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
             scalar_ab.nonexistent
@@ -1065,13 +1095,13 @@ class TestPresetGoldens:
 
 class TestSchemaSelfConsistency:
     def test_alias_targets_exist(self):
-        from scalar_ab.cli import ALIASES
-        for experiment, aliases in ALIASES.items():
-            for target in aliases.values():
-                assert target in SCHEMAS[experiment]
+        for entry in EXPERIMENTS.values():
+            for target in entry.aliases.values():
+                assert target in entry.keys
 
     def test_preset_keys_all_valid(self):
         for name, preset in PRESETS.items():
-            schema = SCHEMAS[preset["experiment"]]
+            keys = EXPERIMENTS[preset["experiment"]].keys
+            assert keys["preset"].choices == (name,)
             for key in preset["parameters"]:
-                assert key in schema, f"preset {name} key {key}"
+                assert key in keys, f"preset {name} key {key}"

@@ -9,18 +9,15 @@ import numpy as np
 import pytest
 
 from scalar_ab.ab_phase import PhaseHistory, accumulate_grav_phase
-from scalar_ab.core import CODATA2018, MassShell, SidebandSpectrum, TwoLevelAtom
+from scalar_ab.core import (C_LIGHT, E_CHARGE, G_NEWTON, HBAR, PLANCK_H, MassShell,
+                            SidebandSpectrum, TwoLevelAtom)
 from scalar_ab.redshift import (TransitionSpectrum, exploding_shell_phase,
                                 exploding_shell_potential, ion_cancellation_check,
                                 modulation_indices, redshifted_frequency, sideband_record,
                                 transition_sideband_spectrum)
 from scalar_ab.spectral import fm_spectrum_via_fft, required_truncation
 
-HBAR = CODATA2018.hbar
-H = CODATA2018.h
-E = CODATA2018.e_charge
-C = CODATA2018.c_light
-G = CODATA2018.g_newton
+H, E, C, G = PLANCK_H, E_CHARGE, C_LIGHT, G_NEWTON
 
 # Earth-like shell: Phi = -G*M/r evaluates to -6.2563e7 J/kg and a
 # fractional redshift |Phi|/c^2 / (1 + |Phi|/c^2) of 6.9611e-10.

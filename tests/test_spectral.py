@@ -246,11 +246,13 @@ class TestJacobiAnger:
             jacobi_anger_coeffs(5.0, needed - 1)
 
     def test_equals_a_dict_built_spectrum(self):
-        s = jacobi_anger_coeffs(-3.0, 20, base_energy=1e-24, omega=2.0)
-        rebuilt = SidebandSpectrum(base_energy=1e-24, omega=2.0,
+        s = jacobi_anger_coeffs(-3.0, 20, omega=2.0)
+        rebuilt = SidebandSpectrum(base_energy=0.0, omega=2.0,
                                    coefficients=dict(s.coefficients), truncation_n=20)
-        assert s == rebuilt == jacobi_anger_coeffs(-3.0, 20, base_energy=1e-24, omega=2.0)
-        assert s != jacobi_anger_coeffs(3.0, 20, base_energy=1e-24, omega=2.0)
+        assert s == rebuilt == jacobi_anger_coeffs(-3.0, 20, omega=2.0)
+        assert s != jacobi_anger_coeffs(3.0, 20, omega=2.0)
+        assert s != SidebandSpectrum(base_energy=1e-24, omega=2.0,
+                                     coefficients=s.coefficients, truncation_n=20)
         assert list(s.coefficients) == list(range(-20, 21))
 
     def test_normalization(self):
