@@ -637,7 +637,9 @@ def _load_config(target: str | None, config_path: str | None,
         by = f"preset '{target}' runs" if target in PRESETS else "the command line requested"
         raise ConfigError(f"config declares experiment {doc['experiment']!r} but {by} {asked!r}")
     if target in PRESETS:
-        doc["parameters"] = {"preset": target, **_section(doc, "parameters")}
+        params = doc["parameters"] = dict(_section(doc, "parameters"))
+        if params.get("preset") is None:  # a null keeps the target beneath it
+            params["preset"] = target
     if out is not None or fmt is not None:
         output = doc["output"] = dict(_section(doc, "output"))
         if out is not None:

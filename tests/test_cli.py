@@ -346,6 +346,14 @@ class TestMainAndExitCodes:
             written.append(out.read_bytes())
         assert written[0] == written[1]
 
+    def test_null_preset_keeps_the_preset_target(self, tmp_path, capsys):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"parameters": {"preset": None}}))
+        outs = tmp_path / "target.json", tmp_path / "null.json"
+        assert main(["fig4", "--out", str(outs[0])]) == EXIT_OK
+        assert main(["fig4", "--config", str(conf), "--out", str(outs[1])]) == EXIT_OK
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_mismatched_experiment_rejected(self, tmp_path, capsys):
         doc = tmp_path / "conf.json"
         doc.write_text(json.dumps({"experiment": "BulkPhase", "parameters": {}}))
