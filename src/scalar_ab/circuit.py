@@ -399,15 +399,19 @@ class PotentialLandscape(_FieldDict):
                  "PotentialLandscape needs one barrier per adjacent minima pair")
 
 
-def _potential_factory(params: CircuitParams):
-    quad = (HBAR / (2.0 * E_CHARGE)) ** 2 / (2.0 * params.inductance)  # J per rad^2
-    ej = params.e_josephson
+def _potential_factory(e_inductive: float, e_josephson: float):
+    """U(phi) = E_L phi^2/2 - E_J cos(phi) and dU/dphi, for energies in J
+    with E_L > 0 and E_J >= 0, both finite."""
+    _require(0.0 < e_inductive < math.inf,
+             "potential_landscape e_inductive must be strictly positive and finite")
+    _require(0.0 <= e_josephson < math.inf,
+             "potential_landscape e_josephson must be non-negative and finite")
 
     def u(phi):
-        return quad * np.asarray(phi) ** 2 - ej * np.cos(phi)
+        return 0.5 * e_inductive * np.asarray(phi) ** 2 - e_josephson * np.cos(phi)
 
     def du(phi):
-        return 2.0 * quad * np.asarray(phi) + ej * np.sin(phi)
+        return e_inductive * np.asarray(phi) + e_josephson * np.sin(phi)
 
     return u, du
 
@@ -426,9 +430,10 @@ def _bracketed_root(f, a: float, b: float) -> float:
         neg, pos = (x, pos) if fx < 0.0 else (neg, x)
 
 
-def potential_landscape(params: CircuitParams, phi_range: tuple[float, float],
-                        n_points: int) -> PotentialLandscape:
-    """Map U(phi) = (hbar/2e)^2 phi^2/(2L) - E_J cos(phi) over ``phi_range``.
+def potential_landscape(e_inductive: float, e_josephson: float,
+                        phi_range: tuple[float, float], n_points: int) -> PotentialLandscape:
+    """Map U(phi) = E_L phi^2/2 - E_J cos(phi) over ``phi_range``, with the
+    inductive energy E_L = ``e_inductive`` and E_J = ``e_josephson`` in J.
 
     Grid minima are refined by root-finding on dU/dphi; the local maximum
     between each adjacent pair of refined minima defines the barrier.
@@ -436,7 +441,7 @@ def potential_landscape(params: CircuitParams, phi_range: tuple[float, float],
     lo, hi = float(phi_range[0]), float(phi_range[1])
     _require(lo < hi, "potential_landscape phi_range must be increasing")
     _require(n_points >= 3, "potential_landscape needs n_points >= 3")
-    u, du = _potential_factory(params)
+    u, du = _potential_factory(e_inductive, e_josephson)
     grid = np.linspace(lo, hi, int(n_points))
     values = u(grid)
 

@@ -30,7 +30,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Any, Callable, Mapping, Sequence
 
@@ -61,8 +61,9 @@ class ConfigError(ValueError):
 class KeySpec:
     kind: str                 # "number" | "int" | "string" | "list" | "species"
     unit: str                 # human description incl. units, used in diagnostics
-    required: bool | tuple[str, str] = False  # or (key, value): required when key is value
+    required: bool = False
     default: Any = None
+    when: tuple[str, str] | None = None  # (other key, value): read only when it has that value
     choices: tuple[str, ...] | None = None
     positive: bool = False
     minimum: float | None = None  # least allowed value of a "number" or "int" key
@@ -160,22 +161,11 @@ _DRIVE_ALIASES = {"volts": "drive_amplitude_uV", "voltage": "drive_amplitude_uV"
                   "frequency": "drive_frequency_MHz"}
 _N_SAMPLES = KeySpec("int", "number of output samples", default=2001, minimum=2)
 
-# Element values solved so the linearized small-oscillation frequency is
-# 8.5 GHz with E_J = 25 GHz*h and E_L = 1 GHz*h (one consistent choice; the
-# individual element values are not uniquely determined by that constraint).
-_FIG3_ELEMENTS = {"c_sigma_fF": 55.76481251856608, "c_prime_fF": 55.76481251856608,
-                  "c_gate_fF": 1.0, "c_sphere_fF": 5600.0, "c_josephson_fF": 10.0,
-                  "inductance_nH": 163.46151260646912, "e_josephson_GHz": 25.0}
-
 
 def _circuit_params(p: Mapping[str, Any]) -> CircuitParams:
-    """CircuitParams from the element keys the experiment has, each named
-    <field>_<unit>; an experiment with e_inductive_GHz gives the inductance
-    through it."""
-    keys = {key.rsplit("_", 1)[0]: key for key in (*_CIRCUIT_ELEMENT_KEYS, "e_inductive_GHz")
-            if key in p}
-    make = CircuitParams.from_inductive_energy if "e_inductive" in keys else CircuitParams
-    return _make(make, keys, **{
+    """CircuitParams from the element keys, each named <field>_<unit>."""
+    keys = {key.rsplit("_", 1)[0]: key for key in _CIRCUIT_ELEMENT_KEYS}
+    return _make(CircuitParams, keys, **{
         name: _ghz_to_joule(p[key], key) if key.endswith("_GHz")
         else p[key] * (1e-9 if key.endswith("_nH") else 1e-15)
         for name, key in keys.items()})
@@ -230,7 +220,7 @@ def _circuit_dynamics(i: SimpleNamespace) -> tuple[Any, Any]:
         i.control, envelope=i.envelope, n_samples=p["n_samples"])
 
 
-# PotentialLandscape: U(phi) and its wells.  The capacitances default to fig3's.
+# PotentialLandscape: U(phi) and its wells.
 _LANDSCAPE_KEYS = {
     "preset": KeySpec("string", "named parameter preset", choices=("fig4",)),
     "e_inductive_GHz": KeySpec("number", "inductive energy E_L/h, gigahertz", required=True,
@@ -239,8 +229,6 @@ _LANDSCAPE_KEYS = {
     "phi_min_rad": KeySpec("number", "lower phase bound, radians", default=-4.0 * math.pi),
     "phi_max_rad": KeySpec("number", "upper phase bound, radians", default=4.0 * math.pi),
     "n_points": KeySpec("int", "grid resolution", default=4001, minimum=3),
-    **{key: replace(_CIRCUIT_ELEMENT_KEYS[key], required=False, default=_FIG3_ELEMENTS[key])
-       for key in ("c_sigma_fF", "c_prime_fF", "c_gate_fF", "c_sphere_fF")},
 }
 
 
@@ -248,7 +236,10 @@ def _build_landscape(p: Mapping[str, Any], numerics: Mapping[str, Any]) -> Simpl
     if not p["phi_max_rad"] > p["phi_min_rad"]:  # no value type holds the range
         raise ConfigError(f"phi_max_rad ({p['phi_max_rad']:g}) must exceed "
                           f"phi_min_rad ({p['phi_min_rad']:g})")
-    return SimpleNamespace(params=_circuit_params(p), n_points=p["n_points"],
+    keys = {"e_inductive": "e_inductive_GHz", "e_josephson": "e_josephson_GHz"}
+    energies = {name: _ghz_to_joule(p[key], key) for name, key in keys.items()}
+    _make(_lib("circuit")._potential_factory, keys, **energies)  # the kernel's guard
+    return SimpleNamespace(**energies, n_points=p["n_points"],
                            phi_range=(p["phi_min_rad"], p["phi_max_rad"]))
 
 
@@ -272,13 +263,14 @@ _FLOQUET_KEYS = {
     "waveform": KeySpec("string", "drive kind", required=True, choices=("sinusoid", "sampled")),
     "frequency_MHz": KeySpec("number", "modulation frequency omega/2pi, megahertz",
                              required=True, positive=True),
-    "u0_over_h_GHz": KeySpec("number", "potential amplitude U0/h, gigahertz",
-                             required=("waveform", "sinusoid")),
-    "phase0_rad": KeySpec("number", "potential phase offset, radians", default=0.0),
-    "samples_t_ns": KeySpec("list", "sample times over one period, nanoseconds",
-                            required=("waveform", "sampled")),
-    "samples_u_over_h_GHz": KeySpec("list", "sampled potential U/h, gigahertz",
-                                    required=("waveform", "sampled")),
+    "u0_over_h_GHz": KeySpec("number", "potential amplitude U0/h, gigahertz", required=True,
+                             when=("waveform", "sinusoid")),
+    "phase0_rad": KeySpec("number", "potential phase offset, radians", default=0.0,
+                          when=("waveform", "sinusoid")),
+    "samples_t_ns": KeySpec("list", "sample times over one period, nanoseconds", required=True,
+                            when=("waveform", "sampled")),
+    "samples_u_over_h_GHz": KeySpec("list", "sampled potential U/h, gigahertz", required=True,
+                                    when=("waveform", "sampled")),
     "base_energy_over_h_GHz": KeySpec("number", "unperturbed energy E/h, gigahertz", default=0.0),
     "residual_tol": KeySpec("number", "max reconstruction residual", default=1e-8, positive=True),
 }
@@ -391,7 +383,8 @@ EXPERIMENTS: dict[str, Experiment] = {
                  "duration": "t_end_ns", "inductance": "inductance_nH"}),
     "PotentialLandscape": Experiment(
         _LANDSCAPE_KEYS, "json", _build_landscape,
-        lambda i: _lib("circuit").potential_landscape(i.params, i.phi_range, i.n_points),
+        lambda i: _lib("circuit").potential_landscape(i.e_inductive, i.e_josephson,
+                                                      i.phi_range, i.n_points),
         write=lambda landscape, path: _write_json(path, landscape.to_dict()),
         summary=lambda i, landscape: f"minima={len(landscape.minima)}",
         aliases={"el": "e_inductive_GHz", "ej": "e_josephson_GHz"}),
@@ -431,13 +424,18 @@ EXPERIMENTS: dict[str, Experiment] = {
 }
 
 PRESETS: dict[str, dict[str, Any]] = {
-    # Instantaneous switch-off keeps a visible free oscillation after the
-    # drive window; a slow ramp would shut it down adiabatically.
+    # Element values solved so the linearized small-oscillation frequency is
+    # 8.5 GHz with E_J = 25 GHz*h and E_L = 1 GHz*h (one consistent choice; the
+    # individual element values are not uniquely determined by that
+    # constraint).  Instantaneous switch-off keeps a visible free oscillation
+    # after the drive window; a slow ramp would shut it down adiabatically.
     "fig3": {"experiment": "CircuitDynamics",
-             "parameters": {**_FIG3_ELEMENTS, "drive_amplitude_uV": 1.0,
-                            "drive_frequency_MHz": 150.0, "t_end_ns": 20.0,
-                            "drive_t_off_ns": 12.0, "drive_switch": "instant",
-                            "n_samples": 2001}},
+             "parameters": {"c_sigma_fF": 55.76481251856608, "c_prime_fF": 55.76481251856608,
+                            "c_gate_fF": 1.0, "c_sphere_fF": 5600.0, "c_josephson_fF": 10.0,
+                            "inductance_nH": 163.46151260646912, "e_josephson_GHz": 25.0,
+                            "drive_amplitude_uV": 1.0, "drive_frequency_MHz": 150.0,
+                            "t_end_ns": 20.0, "drive_t_off_ns": 12.0,
+                            "drive_switch": "instant", "n_samples": 2001}},
     "fig4": {"experiment": "PotentialLandscape",
              "parameters": {"e_inductive_GHz": 1.0, "e_josephson_GHz": 25.0,
                             "phi_min_rad": -4.0 * math.pi, "phi_max_rad": 4.0 * math.pi,
@@ -569,14 +567,22 @@ def parse_config(text: str | Mapping[str, Any]) -> ExperimentConfig:
     # the user's values over the preset's over the defaults; a null keeps the
     # value beneath it, and preset values go through the same checks
     preset = PRESETS[given.pop("preset")]["parameters"] if "preset" in given else {}
+    chosen = {**_validate(preset, entry.keys, where, {}), **given}
     params = {key: spec.default for key, spec in entry.keys.items() if spec.default is not None}
-    params.update(_validate(preset, entry.keys, where, {}), **given)
-    missing = [key for key, spec in entry.keys.items() if key not in params and (
-        spec.required is True or spec.required and params.get(spec.required[0])
-        == spec.required[1])]
+    params.update(chosen)
+    # a key another key's value leaves unread takes no default, and naming it is an error
+    unread = {key for key, spec in entry.keys.items()
+              if spec.when and params.get(spec.when[0]) != spec.when[1]}
+    missing = [key for key, spec in entry.keys.items()
+               if spec.required and key not in params and key not in unread]
     if missing:
         details = ", ".join(f"'{k}' ({entry.keys[k].unit})" for k in missing)
         raise ConfigError(f"missing required keys for {experiment}: {details}")
+    if misplaced := [key for key in chosen if key in unread]:
+        on, value = entry.keys[misplaced[0]].when
+        raise ConfigError(f"key '{misplaced[0]}' in {where} is read only when {on} is "
+                          f"{value!r}; this config's {on} is {params.get(on)!r}")
+    params = {key: value for key, value in params.items() if key not in unread}
 
     output = _section(data, "output")
     if unknown := set(output) - {"path", "format"}:

@@ -91,11 +91,7 @@ G_NEWTON = 6.67430e-11      # m^3/(kg*s^2)
 
 @dataclass(frozen=True)
 class CircuitParams(_FieldDict):
-    """Lumped-element values of the shielded Josephson circuit.
-
-    ``e_inductive`` ((hbar/2e)^2 / inductance) is derived, never stored;
-    :meth:`from_inductive_energy` builds the circuit from E_L instead of L.
-    """
+    """Lumped-element values of the shielded Josephson circuit."""
 
     c_sphere: float      # F, self-capacitance of the shielding sphere
     c_sigma: float       # F, total capacitance
@@ -115,17 +111,6 @@ class CircuitParams(_FieldDict):
         _require(self.c_sigma >= self.c_josephson,
                  "CircuitParams.c_sigma must be >= c_josephson "
                  "(total capacitance includes the junction)")
-
-    @classmethod
-    def from_inductive_energy(cls, e_inductive: float, **elements: float) -> "CircuitParams":
-        """The circuit whose inductance is (hbar/2e)^2 / ``e_inductive`` (J)."""
-        _require(e_inductive > 0.0, "CircuitParams.e_inductive must be strictly positive")
-        return cls(inductance=(HBAR / (2.0 * E_CHARGE)) ** 2 / e_inductive, **elements)
-
-    @property
-    def e_inductive(self) -> float:
-        """Inductive energy (hbar/2e)^2 / inductance in J, recomputed on access."""
-        return (HBAR / (2.0 * E_CHARGE)) ** 2 / self.inductance
 
 
 _SINUSOID = "sinusoid"

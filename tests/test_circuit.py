@@ -14,6 +14,7 @@ import scipy
 from scipy.integrate import ode
 from scipy.optimize import brentq
 
+import oracles
 from scalar_ab import circuit
 from scalar_ab.circuit import (DriveEnvelope, EomParams, IntegrationError,
                                PotentialLandscape, StepControl, build_eom,
@@ -29,18 +30,14 @@ FIG3 = dict(c_sphere=5.6e-12, c_sigma=5.576481251856608e-14, c_gate=1e-15,
             c_prime=5.576481251856608e-14, inductance=1.6346151260646912e-7,
             e_josephson=25e9 * H, c_josephson=1e-14)
 OMEGA_DRIVE = 2 * math.pi * 150e6
+# fig3's inductive energy (hbar/2e)^2 / L, about 1 GHz*h.
+FIG3_E_L = (HBAR / (2 * E)) ** 2 / FIG3["inductance"]
 
 
 def fig3_params(**overrides):
     values = dict(FIG3)
     values.update(overrides)
     return CircuitParams(**values)
-
-
-def landscape_params(e_inductive, **overrides):
-    """fig3's elements with the inductance given by its energy E_L."""
-    values = {k: v for k, v in FIG3.items() if k != "inductance"} | overrides
-    return CircuitParams.from_inductive_energy(e_inductive, **values)
 
 
 class TestBuildEom:
@@ -484,39 +481,33 @@ class TestReferenceRhs:
 
 class TestPotentialLandscape:
     def test_pure_parabola_has_single_minimum_at_zero(self):
-        landscape = potential_landscape(fig3_params(e_josephson=0.0),
-                                        (-2 * math.pi, 2 * math.pi), 801)
+        landscape = potential_landscape(FIG3_E_L, 0.0, (-2 * math.pi, 2 * math.pi), 801)
         assert len(landscape.minima) == 1
         assert landscape.minima[0][0] == pytest.approx(0.0, abs=1e-9)
 
     def test_multi_well_regime(self):
-        params = landscape_params(1e9 * H, e_josephson=25e9 * H)
-        landscape = potential_landscape(params, (-4 * math.pi, 4 * math.pi), 4001)
+        landscape = potential_landscape(1e9 * H, 25e9 * H, (-4 * math.pi, 4 * math.pi), 4001)
         assert len(landscape.minima) >= 3
         assert len(landscape.minima) == 5
         assert all(b > 0.0 for b in landscape.barrier_heights)
 
     def test_minima_symmetric_under_reflection(self):
-        params = landscape_params(1e9 * H, e_josephson=25e9 * H)
-        landscape = potential_landscape(params, (-4 * math.pi, 4 * math.pi), 4001)
+        landscape = potential_landscape(1e9 * H, 25e9 * H, (-4 * math.pi, 4 * math.pi), 4001)
         phis = sorted(p for p, _ in landscape.minima)
         for p, mirrored in zip(phis, reversed(phis)):
             assert p == pytest.approx(-mirrored, abs=1e-9)
 
     def test_u_values_match_definition(self):
-        params = fig3_params()
-        landscape = potential_landscape(params, (-math.pi, math.pi), 101)
-        quad = (HBAR / (2 * E)) ** 2 / (2 * params.inductance)
-        expected = quad * landscape.phi_grid ** 2 - params.e_josephson * np.cos(
-            landscape.phi_grid)
-        assert np.array_equal(landscape.u_values, expected)
+        e_l, e_j = 1e9 * H, 25e9 * H
+        landscape = potential_landscape(e_l, e_j, (-math.pi, math.pi), 101)
+        phi = landscape.phi_grid
+        assert np.array_equal(landscape.u_values, e_l * phi ** 2 / 2 - e_j * np.cos(phi))
 
     def test_minima_count_monotone_in_ej_over_el(self):
         counts = []
         for ratio in (0.5, 2.0, 8.0, 25.0, 60.0):
-            params = landscape_params(1e9 * H, e_josephson=ratio * 1e9 * H)
-            landscape = potential_landscape(params, (-4 * math.pi, 4 * math.pi),
-                                            4001)
+            landscape = potential_landscape(1e9 * H, ratio * 1e9 * H,
+                                            (-4 * math.pi, 4 * math.pi), 4001)
             counts.append(len(landscape.minima))
         assert counts == sorted(counts)
 
@@ -524,9 +515,9 @@ class TestPotentialLandscape:
     def test_extrema_match_brentq(self, ratio):
         # Bisection against scipy's Brent solver at the tolerances
         # the landscape used with it (xtol 1e-14, rtol 8.9e-16).
-        params = landscape_params(1e9 * H, e_josephson=ratio * 1e9 * H)
-        landscape = potential_landscape(params, (-4 * math.pi, 4 * math.pi), 4001)
-        u, du = circuit._potential_factory(params)
+        landscape = potential_landscape(1e9 * H, ratio * 1e9 * H,
+                                        (-4 * math.pi, 4 * math.pi), 4001)
+        u, du = circuit._potential_factory(1e9 * H, ratio * 1e9 * H)
         step = landscape.phi_grid[1] - landscape.phi_grid[0]
         assert len(landscape.barrier_heights) >= 1
         for phi, energy in landscape.minima:
@@ -545,11 +536,41 @@ class TestPotentialLandscape:
             assert height == pytest.approx(float(u(expected)) - max(u_left, u_right),
                                            rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("ratio", [8.0, 25.0, 60.0])
+    def test_extrema_match_the_mpmath_oracle(self, ratio):
+        # Each minimum within the bisection's stop rule of the 40-digit root;
+        # energies and barriers within 1e-14 relative.
+        e_l, e_j = 1e9 * H, ratio * 1e9 * H
+        landscape = potential_landscape(e_l, e_j, (-4 * math.pi, 4 * math.pi), 4001)
+        minima, maxima = oracles.landscape_extrema(e_l, e_j, -4 * math.pi, 4 * math.pi)
+        assert len(landscape.minima) == len(minima) >= 3
+        for (phi, energy), (root, u_root) in zip(landscape.minima, minima):
+            assert abs(phi - float(root)) <= 1e-14 + 8.9e-16 * abs(float(root))
+            assert abs(energy - float(u_root)) <= 1e-14 * abs(float(u_root))
+        tops = [u_top for root, u_top in maxima if minima[0][0] < root < minima[-1][0]]
+        assert len(tops) == len(landscape.barrier_heights)
+        for height, u_top, (_, u_left), (_, u_right) in zip(
+                landscape.barrier_heights, tops, minima, minima[1:]):
+            expected = float(u_top - max(u_left, u_right))
+            assert abs(height - expected) <= 1e-14 * expected
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError, match="n_points"):
-            potential_landscape(fig3_params(), (0.0, 1.0), 2)
+            potential_landscape(1e9 * H, 25e9 * H, (0.0, 1.0), 2)
         with pytest.raises(ValueError, match="phi_range"):
-            potential_landscape(fig3_params(), (1.0, -1.0), 100)
+            potential_landscape(1e9 * H, 25e9 * H, (1.0, -1.0), 100)
+
+    @pytest.mark.parametrize("e_inductive, e_josephson, message", [
+        (0.0, 25e9 * H, "e_inductive must be strictly positive and finite"),
+        (-1e9 * H, 25e9 * H, "e_inductive must be strictly positive and finite"),
+        (math.nan, 25e9 * H, "e_inductive must be strictly positive and finite"),
+        (math.inf, 25e9 * H, "e_inductive must be strictly positive and finite"),
+        (1e9 * H, -25e9 * H, "e_josephson must be non-negative and finite"),
+        (1e9 * H, math.nan, "e_josephson must be non-negative and finite"),
+        (1e9 * H, math.inf, "e_josephson must be non-negative and finite")])
+    def test_rejects_an_energy_out_of_range(self, e_inductive, e_josephson, message):
+        with pytest.raises(ValueError, match=message):
+            potential_landscape(e_inductive, e_josephson, (-1.0, 1.0), 11)
 
 
 class TestHarmonicLevelSpacing:
@@ -559,15 +580,16 @@ class TestHarmonicLevelSpacing:
 
     def test_lc_limit_equals_hbar_omega_c(self):
         params = fig3_params(e_josephson=0.0)
-        landscape = potential_landscape(params, (-1.0, 1.0), 201)
+        landscape = potential_landscape(FIG3_E_L, 0.0, (-1.0, 1.0), 201)
         eom = build_eom(params, None)
         assert [phi for phi, _ in landscape.minima] == [pytest.approx(0.0, abs=1e-12)]
         assert HBAR * eom.small_oscillation_frequency == pytest.approx(
             HBAR * eom.omega_c, rel=1e-15, abs=0.0)
 
     def test_central_well_matches_finite_difference(self):
-        params = landscape_params(1e9 * H, e_josephson=25e9 * H)
-        landscape = potential_landscape(params, (-4 * math.pi, 4 * math.pi), 4001)
+        params = fig3_params()
+        landscape = potential_landscape(FIG3_E_L, params.e_josephson,
+                                        (-4 * math.pi, 4 * math.pi), 4001)
         phi_star = landscape.minima[len(landscape.minima) // 2][0]
         assert phi_star == pytest.approx(0.0, abs=1e-12)
 

@@ -737,6 +737,96 @@ class TestNumericsPerExperiment:
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
 
+# The base runs above, and a sampled one, so that each Floquet waveform's
+# keys are changed under the other waveform too; each label's run is
+# (experiment, base parameters, changed values that replace the table's).
+PARAMETER_RUNS = {
+    **{experiment: (experiment, base, {}) for experiment, (base, _) in UNREAD_NUMERICS.items()},
+    "FloquetDecompose-sampled": ("FloquetDecompose", {
+        "waveform": "sampled", "frequency_MHz": 100.0,
+        "samples_t_ns": [0.0, 2.5, 5.0, 7.5, 10.0],
+        "samples_u_over_h_GHz": [0.0, 2e-6, -1e-6, 5e-7, 0.0]}, {"waveform": "sinusoid"}),
+}
+# A changed value of every parameter key but "preset" (its one valid value
+# is the preset's own name), valid for that key's schema in every run that
+# accepts it.  residual_tol binds on the sampled run: its truncation doubles.
+CHANGED_PARAMETERS = {
+    "c_sigma_fF": 60.0, "c_prime_fF": 60.0, "c_gate_fF": 2.0, "c_sphere_fF": 6000.0,
+    "c_josephson_fF": 5.0, "inductance_nH": 150.0, "e_josephson_GHz": 20.0,
+    "drive_amplitude_uV": 2.0, "drive_frequency_MHz": 200.0, "drive_phase0_rad": 0.5,
+    "t_end_ns": 0.5, "n_samples": 12, "drive_t_on_ns": 0.2, "drive_t_off_ns": 0.5,
+    "drive_switch": "ramp", "ramp_periods": 2.0, "initial_phi_rad": 0.1,
+    "initial_phidot_rad_per_s": 1e9,
+    "e_inductive_GHz": 2.0, "phi_min_rad": -3.0, "phi_max_rad": 3.0, "n_points": 102,
+    "charge_in_e": 1.0,
+    "waveform": "sampled", "frequency_MHz": 200.0, "u0_over_h_GHz": 0.25, "phase0_rad": 0.5,
+    "samples_t_ns": [0.0, 2.0, 5.0, 7.5, 10.0],
+    "samples_u_over_h_GHz": [0.0, 1e-6, -1e-6, 5e-7, 0.0],
+    "base_energy_over_h_GHz": 1.0, "residual_tol": 1e-9,
+    "m0_kg": 6e24, "m1_kg": 2e10, "radius_m": 7e6, "modulation_frequency_Hz": 2e-3,
+    "atom_rest_mass_kg": 1.5e-25, "transition_energy_eV": 1.6,
+    "shell_mass_kg": 3e30, "radius_start_m": 8e8, "expansion_speed_m_per_s": 2e7,
+    "system_mass_kg": 1e-25, "t_end_s": 50.0,
+    "species": [{"species": "electron", "count": 2e9}],
+}
+# The (run, key) pairs whose changed value leaves the output alone, and why.
+# Each must still write its base run's bytes, so an entry cannot outlive its
+# reason.
+INERT_PARAMETERS = {
+    ("CircuitDynamics", "c_sphere_fF"):
+        "no kernel reads it; CircuitParams keeps it for the benchmark's inputs",
+    ("CircuitDynamics", "c_josephson_fF"): "it only bounds c_sigma_fF",
+    ("CircuitDynamics", "ramp_periods"): "fig3 switches the drive instantly",
+    ("FloquetDecompose", "residual_tol"):
+        "a sinusoid's first truncation is at the 4.5e-15 roundoff floor, so every "
+        "tolerance either holds there or is never met",
+}
+
+
+class TestParametersPerExperiment:
+    @staticmethod
+    def run(path, label, **changed):
+        experiment, base, _ = PARAMETER_RUNS[label]
+        doc = path.with_suffix(".config.json")
+        doc.write_text(json.dumps({"experiment": experiment,
+                                   "parameters": {**base, **changed},
+                                   "output": {"path": str(path)}}))
+        return main(["--config", str(doc)])
+
+    @pytest.fixture(scope="class")
+    def base_bytes(self, tmp_path_factory):
+        """The bytes each base run writes."""
+        out = {}
+        for label in PARAMETER_RUNS:
+            path = tmp_path_factory.mktemp("base") / "out"
+            assert self.run(path, label) == EXIT_OK
+            out[label] = path.read_bytes()
+        return out
+
+    def test_every_key_has_a_changed_value(self):
+        keys = {key for entry in EXPERIMENTS.values() for key in entry.keys} - {"preset"}
+        assert sorted(keys) == sorted(CHANGED_PARAMETERS)
+        assert sorted({experiment for experiment, _, _ in PARAMETER_RUNS.values()}) == sorted(
+            EXPERIMENTS)
+
+    @pytest.mark.parametrize("label, key", [
+        (label, key) for label, (experiment, _, _) in PARAMETER_RUNS.items()
+        for key in EXPERIMENTS[experiment].keys if key != "preset"])
+    def test_changed_parameter_is_rejected_or_changes_the_output(self, tmp_path, capsys,
+                                                                base_bytes, label, key):
+        overrides = PARAMETER_RUNS[label][2]
+        value = {**CHANGED_PARAMETERS, **overrides}[key]
+        out = tmp_path / "out"
+        code = self.run(out, label, **{key: value})
+        if (label, key) in INERT_PARAMETERS:
+            assert code == EXIT_OK and out.read_bytes() == base_bytes[label]
+        elif code == EXIT_CONFIG_ERROR:
+            assert len(capsys.readouterr().err.strip().splitlines()) == 1
+            assert not out.exists()
+        else:
+            assert code == EXIT_OK and out.read_bytes() != base_bytes[label]
+
+
 def run_fresh(code, cwd, **env):
     """Run ``code`` in a fresh interpreter that imports scalar_ab from this
     checkout, with OPENBLAS_NUM_THREADS unset unless given; returns stdout."""

@@ -51,18 +51,8 @@ class TestCircuitParams:
         assert build_eom(p, None).nonlinear_coeff == pytest.approx(
             2 * e_charging * p.e_josephson / HBAR ** 2, rel=1e-15, abs=0.0)
 
-    def test_derives_energy_from_inductance_and_back(self):
-        p = make_circuit_params()
-        phi_sq = (HBAR / (2 * E)) ** 2
-        assert p.e_inductive == phi_sq / p.inductance
-        elements = {k: v for k, v in p.to_dict().items() if k != "inductance"}
-        via_energy = CircuitParams.from_inductive_energy(p.e_inductive, **elements)
-        assert via_energy.inductance == pytest.approx(p.inductance, rel=1e-15, abs=0.0)
-        assert CircuitParams.from_inductive_energy(1e9 * H, **elements).inductance == (
-            phi_sq / (1e9 * H))
-
     def test_stores_only_its_inputs(self):
-        # e_inductive is derived; the junction inductance is not kept at all
+        # the junction inductance is not kept at all
         assert list(make_circuit_params().to_dict()) == [
             "c_sphere", "c_sigma", "c_gate", "c_prime", "inductance", "e_josephson",
             "c_josephson"]
@@ -86,7 +76,6 @@ class TestCircuitParams:
         # a negative energy used to pass as "not given", i.e. E_J = 0
         ({"e_josephson": -25e9 * H}, "e_josephson must be non-negative"),
         ({"e_josephson": math.nan}, "e_josephson must be non-negative"),
-        # 0.0 is an inductance, not "derive it from e_inductive"
         ({"inductance": 0.0}, "inductance must be strictly positive"),
         ({"inductance": -1e-9}, "inductance must be strictly positive"),
         # an infinite element used to surface later, as EomParams.nonlinear_coeff
@@ -97,13 +86,6 @@ class TestCircuitParams:
     def test_rejects_negative_energy_or_reactance(self, overrides, message):
         with pytest.raises(ValueError, match=message):
             make_circuit_params(**overrides)
-
-    @pytest.mark.parametrize("e_inductive", [0.0, -1e9 * H, math.nan])
-    def test_from_inductive_energy_rejects_a_non_positive_energy(self, e_inductive):
-        elements = {k: v for k, v in make_circuit_params().to_dict().items()
-                    if k != "inductance"}
-        with pytest.raises(ValueError, match="e_inductive must be strictly positive"):
-            CircuitParams.from_inductive_energy(e_inductive, **elements)
 
     def test_round_trip(self):
         p = make_circuit_params()
