@@ -342,7 +342,7 @@ def _build_grav_phase(p: Mapping[str, Any], numerics: Mapping[str, Any]) -> Simp
                           f"at t_end_s ({end:g} m) must be positive")
     return SimpleNamespace(shell_mass=p["shell_mass_kg"], radius_start=p["radius_start_m"],
                            speed=p["expansion_speed_m_per_s"], system_mass=p["system_mass_kg"],
-                           t_grid=np.linspace(0.0, p["t_end_s"], p["n_samples"]))
+                           grid=(0.0, p["t_end_s"], p["n_samples"]))
 
 
 # BulkPhase: the net phase of the species in a driven bulk.
@@ -366,8 +366,7 @@ def _build_bulk(p: Mapping[str, Any], numerics: Mapping[str, Any]) -> SimpleName
             counts = tuple((t * 1e-9, n) for t, n in zip(entry["counts_t_ns"], entry["counts_n"]))
         species.append(_make(ab_phase.SpeciesCount, keys, counts=counts,
                              species=ab_phase.Species(entry["species"])))
-    return SimpleNamespace(species=species, drive=_drive(p),
-                           grid=np.linspace(0.0, t_end, p["n_samples"]))
+    return SimpleNamespace(species=species, drive=_drive(p), grid=(0.0, t_end, p["n_samples"]))
 
 
 EXPERIMENTS: dict[str, Experiment] = {
@@ -415,11 +414,12 @@ EXPERIMENTS: dict[str, Experiment] = {
         aliases={"mass": "m0_kg", "radius": "radius_m", "frequency": "modulation_frequency_Hz"}),
     "GravPhase": Experiment(
         _GRAV_PHASE_KEYS, "csv", _build_grav_phase,
-        lambda i: _lib("redshift").exploding_shell_phase(**vars(i)),
+        lambda i: _lib("redshift").exploding_shell_phase(
+            i.shell_mass, i.radius_start, i.speed, i.system_mass, np.linspace(*i.grid)),
         write=_write_phase, summary=_phase_summary),
     "BulkPhase": Experiment(
         _BULK_KEYS, "csv", _build_bulk,
-        lambda i: _lib("ab_phase").net_bulk_phase(i.species, i.drive, i.grid),
+        lambda i: _lib("ab_phase").net_bulk_phase(i.species, i.drive, np.linspace(*i.grid)),
         write=_write_phase, summary=_phase_summary, aliases=_DRIVE_ALIASES),
 }
 
@@ -453,8 +453,20 @@ PRESETS: dict[str, dict[str, Any]] = {
                                        "t_end_s": 100.0, "n_samples": 2001}},
 }
 
+# The output section's keys; a missing or null one takes the experiment's default.
+_OUTPUT_KEYS = {"path": KeySpec("string", "output file path"),
+                "format": KeySpec("string", "output format", choices=("csv", "json"))}
+
 _TYPES = {"number": ((int, float), "a number"), "int": (int, "an integer"),
           "string": (str, "a string")}
+
+
+def _float(value: int | float) -> float:
+    """``value`` as a float; an int beyond the float range is infinite."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _validate(raw: Mapping[str, Any], keys: Mapping[str, KeySpec], where: str,
@@ -478,7 +490,7 @@ def _validate(raw: Mapping[str, Any], keys: Mapping[str, KeySpec], where: str,
                 raise ConfigError(
                     f"key '{key}' in {where} must be {noun} ({spec.unit}); got {value!r}")
             if spec.kind == "number":
-                value = float(value)
+                value = _float(value)
                 if not math.isfinite(value):
                     raise ConfigError(f"key '{key}' in {where} is not finite")
                 if spec.positive and value <= 0.0:
@@ -491,7 +503,9 @@ def _validate(raw: Mapping[str, Any], keys: Mapping[str, KeySpec], where: str,
                     isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
                 raise ConfigError(
                     f"key '{key}' in {where} must be a list of numbers ({spec.unit})")
-            value = [float(v) for v in value]
+            value = [_float(v) for v in value]
+            if not all(map(math.isfinite, value)):
+                raise ConfigError(f"key '{key}' in {where} has an entry that is not finite")
         else:  # "species"
             value = _validate_species(key, value, where)
         if spec.minimum is not None and value < spec.minimum:
@@ -584,19 +598,14 @@ def parse_config(text: str | Mapping[str, Any]) -> ExperimentConfig:
                           f"{value!r}; this config's {on} is {params.get(on)!r}")
     params = {key: value for key, value in params.items() if key not in unread}
 
-    output = _section(data, "output")
-    if unknown := set(output) - {"path", "format"}:
-        raise ConfigError(f"unknown output keys {sorted(unknown)}; valid keys are "
-                          "['path', 'format']")
+    output = _validate(_section(data, "output"), _OUTPUT_KEYS, "output", {})
     fmt = output.get("format", entry.output)
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"output format must be 'csv' or 'json'; got {fmt!r}")
     if fmt != entry.output:
         raise ConfigError(f"{experiment} writes '{entry.output}' output, so only format "
                           f"'{entry.output}' is supported; got format {fmt!r}")
-    path = output.get("path") or re.sub(r"(?<=.)(?=[A-Z])", "_", experiment).lower() + "." + fmt
-    if not isinstance(path, str):
-        raise ConfigError("output.path must be a string")
+    path = output.get("path", re.sub(r"(?<=.)(?=[A-Z])", "_", experiment).lower() + "." + fmt)
+    if not path:
+        raise ConfigError("key 'path' in output must not be empty")
     if os.path.isdir(path):
         raise ConfigError(f"output.path {path!r} is a directory")
     if not os.path.isdir(os.path.dirname(path) or "."):
@@ -675,12 +684,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_reporting_failures(config: ExperimentConfig) -> int:
-    """Run one config.  Each failure is a one-line message: a numeric one
-    exits 2, an output file that cannot be written 1, and a scipy that
-    cannot run the integrator (the one import a run can fail) 3."""
+    """Run one config.  Each failure is a one-line message: a numeric one,
+    or an array too large to allocate, exits 2, an output file that cannot
+    be written 1, and a scipy that cannot run the integrator (the one import
+    a run can fail) 3."""
     try:
         return run_experiment(config)
-    except (IntegrationError, ValueError, ArithmeticError) as exc:
+    except (IntegrationError, ValueError, ArithmeticError, MemoryError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_FAILURE
     except OSError as exc:

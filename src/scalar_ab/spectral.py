@@ -324,7 +324,9 @@ def floquet_decompose(potential: DriveWaveform, base_energy: float,
     part, absorbed into ``quasi_energy = base_energy + mean(U)``, and a
     periodic remainder whose exponential is Fourier-analyzed.  With
     ``truncation_n=None`` the truncation doubles (up to 4096) until
-    the reconstruction residual meets ``residual_tol``; an explicit
+    the reconstruction residual meets ``residual_tol``; for a sinusoid, a
+    tolerance below the residual where a doubling stops lowering it (the
+    FFT's roundoff floor) is rejected, quoting that residual.  An explicit
     truncation that cannot meet the residual is rejected, quoting the
     truncation that can when one exists.
 
@@ -344,25 +346,27 @@ def floquet_decompose(potential: DriveWaveform, base_energy: float,
              "floquet_decompose truncation_n above 65536 is not supported "
              "(the analysis grid would not fit in memory)")
 
-    while True:
-        ns, coeffs, mean_u, residual = _periodic_factor(
-            potential, n_try, _analysis_samples(potential, n_try))
-        if residual <= residual_tol:
-            break
-        if explicit:
-            hint = _minimum_truncation(potential, residual_tol)
-            raise ValueError(
-                f"floquet_decompose: residual {residual:.3g} exceeds "
-                f"residual_tol={residual_tol:g} at truncation_n={n_try}; "
-                + (f"need truncation_n >= {hint}" if hint is not None else
-                   f"tolerance unreachable within the truncation cap {_FLOQUET_MAX_N} "
-                   "(non-smooth waveform); relax residual_tol"))
-        if 2 * n_try > _FLOQUET_MAX_N:
-            raise ValueError(
-                f"floquet_decompose: residual {residual:.3g} still exceeds "
-                f"residual_tol={residual_tol:g} at the truncation cap "
-                f"{_FLOQUET_MAX_N} (non-smooth waveform); relax residual_tol")
-        n_try *= 2
+    if explicit:
+        factor = _periodic_factor(potential, n_try, _analysis_samples(potential, n_try))
+    else:
+        n_try, factor, floor = _ladder(potential, start_n, residual_tol)
+    ns, coeffs, mean_u, residual = factor
+    if residual > residual_tol:
+        below = (f"residual_tol={residual_tol:g} is below the residual {{:.3g}} that the "
+                 "FFT reaches; relax residual_tol")
+        if not explicit:
+            raise ValueError("floquet_decompose: " + (
+                below.format(floor) if floor is not None else
+                f"residual {residual:.3g} still exceeds residual_tol={residual_tol:g} at the "
+                f"truncation cap {_FLOQUET_MAX_N} (non-smooth waveform); relax residual_tol"))
+        auto_n, (*_, auto), floor = _ladder(potential, start_n, residual_tol)
+        raise ValueError(
+            f"floquet_decompose: residual {residual:.3g} exceeds "
+            f"residual_tol={residual_tol:g} at truncation_n={n_try}; "
+            + (f"need truncation_n >= {auto_n}" if auto <= residual_tol else
+               below.format(floor) if floor is not None else
+               f"tolerance unreachable within the truncation cap {_FLOQUET_MAX_N} "
+               "(non-smooth waveform); relax residual_tol"))
 
     return FloquetDecomposition(quasi_energy=base_energy + mean_u,
                                 omega=potential.omega,
@@ -372,12 +376,26 @@ def floquet_decompose(potential: DriveWaveform, base_energy: float,
                                 residual_tol=residual_tol)
 
 
-def _minimum_truncation(potential: DriveWaveform, residual_tol: float) -> int | None:
-    try:
-        auto = floquet_decompose(potential, 0.0, None, residual_tol=residual_tol)
-    except ValueError:
-        return None
-    return auto.truncation_n
+def _ladder(potential: DriveWaveform, n: int, residual_tol: float
+            ) -> tuple[int, tuple[np.ndarray, np.ndarray, float, float], float | None]:
+    """Fourier-analyze ``potential`` at truncation ``n``, doubling it up to
+    the cap until the residual meets ``residual_tol``.  Returns the last
+    truncation, its factor and, when the ladder stopped at the FFT's roundoff
+    floor, the least residual it reached (else None).
+
+    A sinusoid's coefficients J_n(alpha) fall faster than geometrically past
+    its first truncation, so a doubling that does not lower its residual has
+    reached that floor.  A sampled waveform's U has kinks at its samples: its
+    residual falls only algebraically and can hold its level for a few
+    doublings below the sample count, so its ladder runs to the cap."""
+    least = math.inf
+    while True:
+        factor = _periodic_factor(potential, n, _analysis_samples(potential, n))
+        if factor[3] > residual_tol and potential.is_sinusoid and factor[3] >= least:
+            return n, factor, least
+        if factor[3] <= residual_tol or 2 * n > _FLOQUET_MAX_N:
+            return n, factor, None
+        least, n = factor[3], 2 * n
 
 
 def fm_spectrum_via_fft(phase_history: PhaseHistory, omega: float,

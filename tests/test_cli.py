@@ -33,12 +33,34 @@ def circuit_config(out_path, **overrides):
     }
 
 
+# A sampled FloquetDecompose waveform over one 10 ns period.
+SAMPLED_FLOQUET = {"waveform": "sampled", "frequency_MHz": 100.0,
+                   "samples_t_ns": [0.0, 5.0, 10.0], "samples_u_over_h_GHz": [0.0, 1e-6, 0.0]}
+
+
+def bulk_species(**entry):
+    """BulkPhase parameters with one electron species ``entry``."""
+    return {"drive_amplitude_uV": 1.0, "drive_frequency_MHz": 150.0, "t_end_ns": 20.0,
+            "n_samples": 5, "species": [{"species": "electron", **entry}]}
+
+
 # For each preset: no overlay, a null on each of its keys and one changed value.
 PRESET_OVERLAYS = [
     (name, overlay)
     for name, changed in (("fig3", {"t_end_ns": 10.0}), ("fig4", {"n_points": 2001}),
                           ("earth-shell", {"m1_kg": 2e10}), ("supernova-shell", {"t_end_s": 50.0}))
     for overlay in ({}, *({key: None} for key in PRESETS[name]["parameters"]), changed)]
+
+
+@pytest.fixture(scope="module")
+def preset_bytes(tmp_path_factory):
+    """The bytes each preset target writes with no config."""
+    out = {}
+    for name in PRESETS:
+        path = tmp_path_factory.mktemp("preset") / "out"
+        assert main([name, "--out", str(path)]) == EXIT_OK
+        out[name] = path.read_bytes()
+    return out
 
 
 class TestParseConfig:
@@ -333,7 +355,8 @@ class TestMainAndExitCodes:
 
     @pytest.mark.parametrize("name, overlay", PRESET_OVERLAYS,
                              ids=[f"{n}-{json.dumps(o)}" for n, o in PRESET_OVERLAYS])
-    def test_preset_target_is_its_parameters_preset(self, tmp_path, capsys, name, overlay):
+    def test_preset_target_is_its_parameters_preset(self, tmp_path, capsys, preset_bytes,
+                                                    name, overlay):
         # fig3 with drive_t_off_ns null used to run with the drive never off,
         # and a null on a required key used to drop the preset's value
         spelled = {"experiment": PRESETS[name]["experiment"],
@@ -345,6 +368,8 @@ class TestMainAndExitCodes:
             assert main([*argv, "--config", str(conf), "--out", str(out)]) == EXIT_OK
             written.append(out.read_bytes())
         assert written[0] == written[1]
+        # a null keeps the preset's value, so only a changed value changes the bytes
+        assert (written[0] == preset_bytes[name]) == all(v is None for v in overlay.values())
 
     def test_null_preset_keeps_the_preset_target(self, tmp_path, capsys):
         conf = tmp_path / "conf.json"
@@ -385,6 +410,8 @@ class TestMainAndExitCodes:
         # these used to exit 2 from the kernel, after a sweep's earlier runs
         ("supernova-shell", {"shell_mass_kg": -1.0}, "shell_mass_kg"),
         ("supernova-shell", {"expansion_speed_m_per_s": -1e7}, "expansion_speed_m_per_s"),
+        # no landscape reads a capacitance
+        ("fig4", {"c_sigma_fF": 999}, "c_sigma_fF"),
     ])
     def test_bad_value_is_config_error(self, tmp_path, capsys, target, overrides, key):
         experiment = PRESETS[target]["experiment"]
@@ -458,6 +485,24 @@ class TestMainAndExitCodes:
          "samples_t_ns"),
         # an unhashable preset name must not reach the preset table
         ("CircuitDynamics", {"preset": [1]}, "preset"),
+        # a key the other waveform reads
+        ("FloquetDecompose", {**SAMPLED_FLOQUET, "phase0_rad": 1.0}, "phase0_rad"),
+        ("FloquetDecompose", {**SAMPLED_FLOQUET, "u0_over_h_GHz": 0.5}, "u0_over_h_GHz"),
+        ("FloquetDecompose", {"waveform": "sinusoid", "frequency_MHz": 100.0,
+                              "u0_over_h_GHz": 0.5, "samples_t_ns": [0.0, 10.0]},
+         "samples_t_ns"),
+        # a non-finite list entry used to run and write NaN, or run as the
+        # previous knot; an int beyond the float range ended in a traceback
+        ("BulkPhase", bulk_species(counts_t_ns=[0.0, 20.0], counts_n=[1e9, math.inf]),
+         "counts_n"),
+        ("BulkPhase", bulk_species(counts_t_ns=[0.0, math.inf], counts_n=[1e9, 1e9]),
+         "counts_t_ns"),
+        ("BulkPhase", bulk_species(counts_t_ns=[0.0, 20.0], counts_n=[1e9, 10 ** 400]),
+         "counts_n"),
+        ("BulkPhase", bulk_species(count=-10 ** 400), "count"),
+        ("FloquetDecompose", {**SAMPLED_FLOQUET, "samples_t_ns": [0.0, 5.0, math.inf]},
+         "samples_t_ns"),
+        ("FloquetDecompose", {**SAMPLED_FLOQUET, "frequency_MHz": 10 ** 400}, "frequency_MHz"),
     ])
     def test_bad_config_is_one_line_config_error(self, tmp_path, capsys, experiment,
                                                  parameters, key):
@@ -492,6 +537,47 @@ class TestMainAndExitCodes:
         assert err.startswith("numeric failure:")
         assert f"|{name}| must be < 1e+06" in err
         assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("target, overlay", [
+        ("supernova-shell", {"parameters": {"n_samples": 10 ** 18}}),
+        ("supernova-shell", {"parameters": {"n_samples": 10 ** 20}}),
+        ("fig3", {"parameters": {"n_samples": 10 ** 18}}),
+        ("fig4", {"parameters": {"n_points": 10 ** 18}}),
+        ("earth-shell", {"numerics": {"truncation_n": 10 ** 18}}),
+        ("ElectricSidebands", {"parameters": {"drive_amplitude_uV": 1.0,
+                                              "drive_frequency_MHz": 150.0},
+                               "numerics": {"truncation_n": 10 ** 18}}),
+        ("BulkPhase", {"parameters": {**bulk_species(count=1e9), "n_samples": 10 ** 18}}),
+    ])
+    def test_size_that_cannot_be_allocated_is_one_line_numeric_failure(
+            self, tmp_path, capsys, target, overlay):
+        # these ended in a numpy MemoryError or ValueError traceback; each
+        # fails at once, before any memory is taken
+        doc = tmp_path / "conf.json"
+        doc.write_text(json.dumps(overlay))
+        out = tmp_path / "out"
+        assert main([target, "--config", str(doc), "--out", str(out)]) == EXIT_NUMERIC_FAILURE
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("numeric failure: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("numerics", [{}, {"truncation_n": 4}])
+    def test_floquet_tolerance_below_roundoff_is_one_line_numeric_failure(
+            self, tmp_path, capsys, numerics):
+        # this used to double the truncation to the cap and blame the waveform
+        doc = tmp_path / "conf.json"
+        doc.write_text(json.dumps({"experiment": "FloquetDecompose",
+                                   "parameters": {"waveform": "sinusoid", "frequency_MHz": 100,
+                                                  "u0_over_h_GHz": 0.5, "residual_tol": 1e-15},
+                                   "numerics": numerics}))
+        out = tmp_path / "out.json"
+        assert main(["--config", str(doc), "--out", str(out)]) == EXIT_NUMERIC_FAILURE
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert re.match(r"numeric failure: floquet_decompose: .*residual_tol=1e-15 is below "
+                        r"the residual \S+ that the FFT reaches; relax residual_tol$", err)
+        assert not out.exists()
 
     def test_sweep_runs_all_configs(self, tmp_path, capsys):
         paths = []
@@ -556,6 +642,29 @@ class TestMainAndExitCodes:
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("config error: output.path ") and str(out) in err
         assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("output", [{"path": 0}, {"path": False}, {"path": []},
+                                        {"path": ""}, {"format": False}, {"format": "xml"}])
+    def test_bad_output_value_is_config_error(self, tmp_path, capsys, monkeypatch, output):
+        # a falsy path used to be replaced by the default file name
+        monkeypatch.chdir(tmp_path)
+        doc = tmp_path / "conf.json"
+        doc.write_text(json.dumps({"parameters": {"n_points": 11}, "output": output}))
+        assert main(["fig4", "--config", str(doc)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith(f"config error: key '{next(iter(output))}' in output ")
+        assert list(tmp_path.iterdir()) == [doc]
+
+    @pytest.mark.parametrize("output", [{}, {"path": None}, {"format": None},
+                                        {"path": None, "format": None}])
+    def test_null_output_value_takes_the_default(self, tmp_path, capsys, monkeypatch, output):
+        # a null format used to be rejected as None
+        monkeypatch.chdir(tmp_path)
+        doc = tmp_path / "conf.json"
+        doc.write_text(json.dumps({"parameters": {"n_points": 11}, "output": output}))
+        assert main(["fig4", "--config", str(doc)]) == EXIT_OK
+        assert (tmp_path / "potential_landscape.json").exists()
 
     def test_sweep_with_an_unwritable_path_writes_nothing(self, tmp_path, capsys):
         paths = []

@@ -2,6 +2,7 @@
 Floquet decomposition, cross-validated by independent oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -362,6 +363,24 @@ class TestFloquetDecompose:
             floquet_decompose(potential, 0.0, truncation_n=320)
         with pytest.raises(TypeError, match="n_max_cap"):
             floquet_decompose(potential, 0.0, n_max_cap=8192)
+
+    def test_tolerance_below_roundoff_is_named(self, monkeypatch):
+        # a sinusoid's residual sits at the FFT's ~5e-15 roundoff floor from its
+        # first truncation; this used to double up to the cap and blame the waveform
+        potential = DriveWaveform.sinusoid(0.5e9 * PLANCK_H, 2 * math.pi * 100e6)
+        calls = []
+        factor = spectral._periodic_factor
+        monkeypatch.setattr(spectral, "_periodic_factor",
+                            lambda *args: calls.append(args[1]) or factor(*args))
+        below = r"residual_tol=1e-15 is below the residual (\S+) that the FFT reaches; "
+        for truncation_n, prefix in ((None, ""), (4, r"residual 0\.624 .* at truncation_n=4; "),
+                                     (40, r"residual \S+ .* at truncation_n=40; ")):
+            calls.clear()
+            with pytest.raises(ValueError, match=f"^floquet_decompose: {prefix}{below}") as err:
+                floquet_decompose(potential, 0.0, truncation_n, residual_tol=1e-15)
+            assert "non-smooth" not in str(err.value)
+            assert 1e-15 < float(re.search(below, str(err.value)).group(1)) < 1e-13
+            assert max(calls) < 4096  # the ladder stopped below the cap
 
     def test_explicit_truncation_too_small_names_requirement(self):
         potential = DriveWaveform.sinusoid(6.0 * HBAR * self.OMEGA, self.OMEGA)
